@@ -145,9 +145,7 @@ int main(int argc, char** argv) {
                     serve::to_string(r.status), r.message.c_str());
         continue;
       }
-      const Tensor want = reference.plan != nullptr
-                              ? reference.plan->run(input)
-                              : reference.exec->run(input);
+      const Tensor want = reference.plan->run(input);
       for (std::int64_t j = 0; j < want.numel(); ++j) {
         if (r.output[j] != want[j]) ++mismatches;
       }

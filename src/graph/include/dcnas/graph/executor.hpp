@@ -5,8 +5,8 @@
 ///
 /// This is the twin of the latency layer's assumption that edge runtimes
 /// fold Conv+BN into one kernel: fold_batchnorm() performs the standard
-/// rewrite  w' = w·γ/√(σ²+ε),  b' = β − γ·μ/√(σ²+ε)  and the executor then
-/// runs the exact fused computation. Tests verify bit-level agreement with
+/// rewrite  w' = w·γ/√(σ²+ε),  b' = β + (b − μ)·γ/√(σ²+ε)  and the executor
+/// then runs the exact fused computation. Tests verify bit-level agreement with
 /// the live nn::ConfigurableResNet in eval mode, before and after folding.
 
 #include <optional>
@@ -25,6 +25,26 @@ struct NodeState {
   Tensor bn_gamma, bn_beta, bn_mean, bn_var;  ///< BatchNorm
   Tensor linear_weight;         ///< Linear: (out, in)
 };
+
+/// Eval-mode BatchNorm as the per-channel affine map y = x·scale + shift,
+/// absorbing an optional bias b applied before it:
+///   scale_c = γ_c/√(σ²_c+ε),   shift_c = β_c + (b_c − μ_c)·scale_c
+/// This is the one BN-folding formula: GraphExecutor's BN nodes,
+/// GraphExecutor::fold_batchnorm and the plan compiler all go through it.
+/// Without a bias, shift is bit-identical to β − μ·scale.
+struct BatchNormAffine {
+  Tensor scale;
+  Tensor shift;
+};
+BatchNormAffine batchnorm_affine(
+    const NodeState& bn, float eps,
+    const std::optional<Tensor>& bias = std::nullopt);
+
+/// Folds a BatchNorm into the conv that feeds it: each output-channel row
+/// of \p weight (OC, IC·k·k) is scaled by scale_c, and \p bias (zero when
+/// absent) becomes shift.
+void fold_batchnorm_into_conv(Tensor& weight, std::optional<Tensor>& bias,
+                              const NodeState& bn, float eps);
 
 class GraphExecutor {
  public:

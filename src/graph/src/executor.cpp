@@ -11,6 +11,32 @@
 
 namespace dcnas::graph {
 
+BatchNormAffine batchnorm_affine(const NodeState& bn, float eps,
+                                 const std::optional<Tensor>& bias) {
+  const std::int64_t channels = bn.bn_gamma.numel();
+  BatchNormAffine affine{Tensor({channels}), Tensor({channels})};
+  for (std::int64_t c = 0; c < channels; ++c) {
+    const float inv_std = 1.0f / std::sqrt(bn.bn_var[c] + eps);
+    const float scale = bn.bn_gamma[c] * inv_std;
+    const float b = bias ? (*bias)[c] : 0.0f;
+    affine.scale[c] = scale;
+    affine.shift[c] = bn.bn_beta[c] + (b - bn.bn_mean[c]) * scale;
+  }
+  return affine;
+}
+
+void fold_batchnorm_into_conv(Tensor& weight, std::optional<Tensor>& bias,
+                              const NodeState& bn, float eps) {
+  BatchNormAffine affine = batchnorm_affine(bn, eps, bias);
+  const std::int64_t oc = affine.scale.numel();
+  const std::int64_t row = weight.numel() / oc;
+  for (std::int64_t c = 0; c < oc; ++c) {
+    float* w_row = weight.data() + c * row;
+    for (std::int64_t j = 0; j < row; ++j) w_row[j] *= affine.scale[c];
+  }
+  bias = std::move(affine.shift);
+}
+
 GraphExecutor::GraphExecutor(ModelGraph graph, nn::ConfigurableResNet& model)
     : graph_(std::move(graph)) {
   graph_.validate();
@@ -101,19 +127,9 @@ void GraphExecutor::fold_batchnorm() {
     if (identity_[static_cast<std::size_t>(bn_idx)]) continue;
 
     NodeState& conv_st = state_[i];
-    const NodeState& bn_st = state_[static_cast<std::size_t>(bn_idx)];
-    const std::int64_t oc = n.out_shape.c;
-    const std::int64_t row = n.in_shape.c * n.attrs.kernel * n.attrs.kernel;
-    Tensor bias({oc});
-    for (std::int64_t c = 0; c < oc; ++c) {
-      const float inv_std =
-          1.0f / std::sqrt(bn_st.bn_var[c] + bn_eps_);
-      const float scale = bn_st.bn_gamma[c] * inv_std;
-      float* w_row = conv_st.conv_weight.data() + c * row;
-      for (std::int64_t j = 0; j < row; ++j) w_row[j] *= scale;
-      bias[c] = bn_st.bn_beta[c] - bn_st.bn_mean[c] * scale;
-    }
-    conv_st.bias = std::move(bias);
+    fold_batchnorm_into_conv(conv_st.conv_weight, conv_st.bias,
+                             state_[static_cast<std::size_t>(bn_idx)],
+                             bn_eps_);
     identity_[static_cast<std::size_t>(bn_idx)] = true;
     ++folded_count_;
   }
@@ -162,13 +178,13 @@ Tensor GraphExecutor::run_node(int index, const std::vector<Tensor>& outputs,
     case OpKind::kBatchNorm: {
       const Tensor& x = in(0);
       if (identity_[static_cast<std::size_t>(index)]) return x;
+      const BatchNormAffine bn = batchnorm_affine(st, bn_eps_);
       Tensor out(x.shape());
       const std::int64_t c_count = x.dim(1), hw = x.dim(2) * x.dim(3);
       for (std::int64_t s = 0; s < x.dim(0); ++s) {
         for (std::int64_t c = 0; c < c_count; ++c) {
-          const float inv_std = 1.0f / std::sqrt(st.bn_var[c] + bn_eps_);
-          const float scale = st.bn_gamma[c] * inv_std;
-          const float shift = st.bn_beta[c] - st.bn_mean[c] * scale;
+          const float scale = bn.scale[c];
+          const float shift = bn.shift[c];
           const float* xi = x.data() + (s * c_count + c) * hw;
           float* oi = out.data() + (s * c_count + c) * hw;
           for (std::int64_t j = 0; j < hw; ++j) oi[j] = xi[j] * scale + shift;

@@ -1,8 +1,8 @@
 #pragma once
 /// \file scheduler.hpp
 /// \brief Parallel NAS trial scheduler: the search loop as a two-level job
-/// graph with a deterministic merge, crash-safe resume, and optional
-/// NNI-style median-stop fold pruning.
+/// graph with a deterministic merge, crash-safe resume from a TrialStore,
+/// and optional NNI-style median-stop fold pruning.
 ///
 /// The paper's NNI harness dispatched trials concurrently and relied on
 /// assessors to kill doomed trials early; DPP-Net and HW-NAS-Bench both
@@ -26,16 +26,22 @@
 /// kernels are bitwise thread-count-independent. The parity is enforced by
 /// tests and hashed into BENCH_nas.json on every CI run.
 ///
-/// **Resume journal.** With a `journal_path`, every finished trial is
-/// appended (and fsynced) to a crash-safe journal keyed by lattice_key()
-/// before the run completes; re-running an interrupted search evaluates
-/// only the configs the journal does not hold (see journal.hpp).
+/// **One lifecycle.** `run(configs)` and `run_streamed(stream)` are the
+/// same admission/verify/fan-out/drain routine over a CandidateStream;
+/// `run` streams its vector and also collects each finished record into
+/// its submission-index slot. Every trial's state retires at finalize, so
+/// memory stays O(max_inflight_trials) in both modes.
+///
+/// **Resume.** With a `store_dir`, every finished trial is committed to
+/// the TrialStore (store/trial_store.hpp) keyed by lattice_key() before
+/// the run completes; re-running an interrupted search — in this process
+/// or another — evaluates only the configs the store does not hold.
 ///
 /// **Median-stop pruner.** Off by default so exact-reproduction paths are
 /// untouched. When enabled, a trial whose running mean accuracy after n
 /// completed folds falls below the median of completed trials' same-step
 /// running means (minus `margin`) skips its remaining folds and is
-/// journaled as pruned; pruned trials are excluded from the returned
+/// stored as pruned; pruned trials are excluded from the returned
 /// database. Pruning decisions depend on completion timing and are the one
 /// intentionally nondeterministic feature — surviving trials' recorded
 /// fold accuracies are still exactly the serial values.
@@ -44,12 +50,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "dcnas/common/thread_pool.hpp"
 #include "dcnas/nas/experiment.hpp"
-#include "dcnas/nas/journal.hpp"
 #include "dcnas/nas/store/trial_store.hpp"
 
 namespace dcnas::nas {
@@ -101,16 +107,9 @@ struct SchedulerOptions {
   /// 1 = folds are strictly single-threaded compute (the default; trials x
   /// folds already saturate the pool).
   std::size_t kernel_threads_per_trial = 1;
-  /// Crash-safe resume journal; empty disables journaling. Legacy path —
-  /// the journal's line format carries neither precision nor depth, so it
-  /// only round-trips paper-lattice configs; wide-lattice runs use the
-  /// store instead.
-  std::string journal_path;
-  /// fsync after every journal append (keep on outside tests).
-  bool fsync_journal = true;
   /// Memory-mapped TrialStore directory; empty disables the store. When
-  /// set, finished trials commit to the store (resume works like the
-  /// journal but across *processes*) and run_streamed becomes available.
+  /// set, finished trials commit to the store (so a re-run, in any
+  /// process, resumes them) and run_streamed becomes available.
   std::string store_dir;
   /// fsync every store commit (crash safety; benches may disable).
   bool fsync_store = true;
@@ -123,7 +122,7 @@ struct SchedulerOptions {
 
 struct SchedulerStats {
   std::size_t scheduled = 0;        ///< configs evaluated this run
-  std::size_t resumed = 0;          ///< configs satisfied by the journal
+  std::size_t resumed = 0;          ///< configs satisfied by the store
   std::size_t completed = 0;        ///< trials fully evaluated this run
   std::size_t pruned = 0;           ///< trials median-stopped this run
   std::size_t folds_evaluated = 0;  ///< fold tasks that ran to completion
@@ -143,17 +142,17 @@ class TrialScheduler {
   TrialScheduler(const TrialScheduler&) = delete;
   TrialScheduler& operator=(const TrialScheduler&) = delete;
 
-  /// Evaluates every config (journal hits excepted) and returns the merged
+  /// Evaluates every config (store hits excepted) and returns the merged
   /// database — byte-identical CSV to Experiment::run_all(configs) when
   /// pruning is off. The first evaluator/verifier exception aborts the run
   /// (in-flight folds drain, remaining trials are skipped) and is rethrown.
   TrialDatabase run(const std::vector<TrialConfig>& configs);
 
   /// Streaming mode for lattices too wide to materialize: pulls candidates
-  /// from \p stream one at a time, commits every finished trial to the
-  /// store (SchedulerOptions::store_dir is required), and *retires* each
-  /// trial's in-memory state as it finalizes — peak memory is
-  /// O(max_inflight_trials), not O(lattice). Trials already complete in the
+  /// from \p stream one at a time and commits every finished trial to the
+  /// store (SchedulerOptions::store_dir is required) without collecting
+  /// records in memory — peak memory is O(max_inflight_trials), not
+  /// O(lattice). Trials already complete in the
   /// store are skipped (counted as resumed), which is also what lets N
   /// worker processes share one store: each streams its own shard. Read
   /// views come from the store afterwards (TrialStore::assemble for the
@@ -170,8 +169,14 @@ class TrialScheduler {
  private:
   struct TrialState;
 
+  /// The one trial lifecycle behind run() and run_streamed(): admission,
+  /// verification, fold fan-out, abort accounting and drain. Finished kOk
+  /// records (and resumed ones) land in (*records)[submission index] when
+  /// \p records is non-null.
+  void run_lifecycle(CandidateStream& stream,
+                     std::vector<std::optional<TrialRecord>>* records);
   void prepare_run();
-  bool resolve_from_history(TrialState* trial);
+  bool resolve_from_history(const TrialState& trial);
   void commit_entry(const JournalEntry& entry);
   void run_fold_task(TrialState* trial, int fold);
   void finalize_trial(TrialState* trial);
@@ -188,18 +193,17 @@ class TrialScheduler {
   bool abort_ = false;
   std::exception_ptr first_error_;
   std::unique_ptr<MedianStopRule> rule_;
-  /// Serializes commits and history lookups (TrialJournal and the store's
-  /// in-handle key index are not MT-safe).
-  std::mutex journal_mu_;
-  std::unique_ptr<TrialJournal> journal_;
+  /// Serializes commits and history lookups (the store's in-handle key
+  /// index is not MT-safe).
+  std::mutex store_mu_;
   std::unique_ptr<TrialStore> store_;
-  std::vector<std::unique_ptr<TrialState>> trials_;
-  /// Streamed-mode live set: finalize_trial retires entries so memory does
-  /// not grow with the lattice. Guarded by mu_.
+  /// Admitted trials not yet finalized; finalize_trial retires each entry
+  /// so memory does not grow with the stream. Guarded by mu_.
   std::map<TrialState*, std::unique_ptr<TrialState>> live_;
-  /// True while run_streamed is draining (written only with no tasks in
-  /// flight; read by finalize_trial on pool workers).
-  bool streaming_ = false;
+  /// run()'s merge slots, indexed by submission order (nullptr while
+  /// streaming). Set only with no tasks in flight; each slot is written by
+  /// exactly one trial.
+  std::vector<std::optional<TrialRecord>>* records_ = nullptr;
 };
 
 }  // namespace dcnas::nas

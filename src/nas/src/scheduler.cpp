@@ -120,9 +120,6 @@ struct TrialScheduler::TrialState {
   bool pruned = false;
   bool failed = false;
 
-  /// Set at finalize; slots with keep==true merge into the database.
-  bool keep = false;
-  std::optional<TrialRecord> result;
   std::chrono::steady_clock::time_point admitted_at;
 };
 
@@ -144,11 +141,6 @@ void TrialScheduler::prepare_run() {
     inflight_ = 0;
   }
   rule_ = std::make_unique<MedianStopRule>(options_.pruner);
-  journal_.reset();
-  if (!options_.journal_path.empty()) {
-    journal_ = std::make_unique<TrialJournal>(options_.journal_path,
-                                              options_.fsync_journal);
-  }
   store_.reset();
   if (!options_.store_dir.empty()) {
     TrialStoreOptions sopt;
@@ -158,21 +150,17 @@ void TrialScheduler::prepare_run() {
   }
 }
 
-bool TrialScheduler::resolve_from_history(TrialState* trial) {
-  // Store first (the multi-process source of truth), then the journal.
-  // Copy under journal_mu_: in streamed mode finalizes append (and thus
-  // mutate the store's key index) concurrently with admission lookups.
-  std::lock_guard<std::mutex> lock(journal_mu_);
-  const std::string key = trial->config.lattice_key();
-  const JournalEntry* entry = nullptr;
-  if (store_ != nullptr) entry = store_->find(key);
-  if (entry == nullptr && journal_ != nullptr) entry = journal_->find(key);
+bool TrialScheduler::resolve_from_history(const TrialState& trial) {
+  if (store_ == nullptr) return false;
+  // Copy under store_mu_: finalizes append (and thus mutate the store's
+  // key index) concurrently with admission lookups.
+  std::lock_guard<std::mutex> lock(store_mu_);
+  const JournalEntry* entry = store_->find(trial.config.lattice_key());
   if (entry == nullptr) return false;
   if (entry->status == TrialStatus::kOk &&
       entry->record.fold_accuracies.size() ==
-          static_cast<std::size_t>(trial->folds)) {
-    trial->keep = true;
-    trial->result = entry->record;
+          static_cast<std::size_t>(trial.folds)) {
+    if (records_ != nullptr) (*records_)[trial.index] = entry->record;
     if (options_.pruner.enabled) {
       rule_->report_completed(running_means(entry->record.fold_accuracies));
     }
@@ -184,9 +172,8 @@ bool TrialScheduler::resolve_from_history(TrialState* trial) {
 }
 
 void TrialScheduler::commit_entry(const JournalEntry& entry) {
-  std::lock_guard<std::mutex> lock(journal_mu_);
-  if (store_ != nullptr) store_->append(entry);
-  if (journal_ != nullptr) journal_->append(entry);
+  std::lock_guard<std::mutex> lock(store_mu_);
+  store_->append(entry);
 }
 
 TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
@@ -195,6 +182,34 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
     run_span.arg("trials", static_cast<std::int64_t>(configs.size()));
     run_span.arg("threads", static_cast<std::int64_t>(pool_.size()));
   }
+  VectorStream stream(configs);
+  std::vector<std::optional<TrialRecord>> records(configs.size());
+  run_lifecycle(stream, &records);
+
+  // Deterministic merge: submission order, finished (or resumed) kOk
+  // trials only.
+  TrialDatabase db;
+  for (auto& record : records) {
+    if (record) db.add(std::move(*record));
+  }
+  return db;
+}
+
+SchedulerStats TrialScheduler::run_streamed(CandidateStream& stream) {
+  DCNAS_CHECK(!options_.store_dir.empty(),
+              "run_streamed requires SchedulerOptions::store_dir — streamed "
+              "results live in the store, not a returned database");
+  obs::Span run_span("nas", "nas.sched.run_streamed");
+  if (run_span.armed()) {
+    run_span.arg("trials", static_cast<std::int64_t>(stream.total()));
+    run_span.arg("threads", static_cast<std::int64_t>(pool_.size()));
+  }
+  run_lifecycle(stream, nullptr);
+  return stats_;
+}
+
+void TrialScheduler::run_lifecycle(
+    CandidateStream& stream, std::vector<std::optional<TrialRecord>>* records) {
   const auto t0 = std::chrono::steady_clock::now();
   auto& metrics = SchedulerMetrics::instance();
 
@@ -202,47 +217,40 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
 
   const int folds = experiment_.evaluator().fold_count();
   DCNAS_CHECK(folds >= 1, "evaluator must report >= 1 fold");
-
-  // Resolve every config against the store/journal history; the rest
-  // become pending work.
-  trials_.clear();
-  trials_.reserve(configs.size());
-  std::vector<TrialState*> pending;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    auto state = std::make_unique<TrialState>();
-    state->config = configs[i];
-    state->index = i;
-    state->folds = folds;
-    const bool resolved = resolve_from_history(state.get());
-    if (resolved) {
-      ++stats_.resumed;
-      metrics.resumed.add(1);
-    }
-    trials_.push_back(std::move(state));
-    if (!resolved) pending.push_back(trials_.back().get());
-  }
+  records_ = records;
 
   const std::size_t max_inflight =
       options_.max_inflight_trials != 0
           ? options_.max_inflight_trials
           : std::max<std::size_t>(1, 2 * pool_.size());
+  const std::int64_t total = stream.total();
+  std::int64_t consumed = 0;
 
-  // Admission loop: verify + fan the trial's folds out, holding at most
-  // max_inflight trials in flight.
-  std::size_t admitted = 0;
+  // Admission loop: resolve each candidate against the store, then verify
+  // it and fan its folds out, holding at most max_inflight trials in flight.
   TrialState* admitting = nullptr;  ///< trial being fanned out right now
   int submitted = 0;                ///< its fold tasks actually enqueued
   try {
-    for (TrialState* trial : pending) {
+    while (std::optional<TrialConfig> config = stream.next()) {
+      auto state = std::make_unique<TrialState>();
+      state->config = std::move(*config);
+      state->index = static_cast<std::size_t>(consumed++);
+      state->folds = folds;
+      if (resolve_from_history(*state)) {
+        ++stats_.resumed;
+        metrics.resumed.add(1);
+        continue;  // state frees here; the record is already in the store
+      }
+      TrialState* trial = state.get();
       {
         std::unique_lock<std::mutex> lock(mu_);
         cv_.wait(lock, [&] { return inflight_ < max_inflight || abort_; });
         if (abort_) break;
+        live_.emplace(trial, std::move(state));
         ++inflight_;
         metrics.inflight.set(static_cast<double>(inflight_));
       }
-      ++admitted;
-      metrics.queue_depth.set(static_cast<double>(pending.size() - admitted));
+      metrics.queue_depth.set(static_cast<double>(total - consumed));
       admitting = trial;
       submitted = 0;
       // The same trust boundary the serial path runs (once per trial, not
@@ -266,12 +274,13 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
       abort_ = true;
       if (!first_error_) first_error_ = std::current_exception();
     }
-    if (submitted == 0) {
+    if (admitting != nullptr && submitted == 0) {
       // The trial never fanned out (verification threw): its admission
-      // slot retires here.
+      // slot and state retire here.
       std::lock_guard<std::mutex> lock(mu_);
       --inflight_;
-    } else {
+      live_.erase(admitting);
+    } else if (admitting != nullptr) {
       // Partial fan-out (a submit threw mid-loop): account for the fold
       // tasks that never enqueued so the already-queued ones — which see
       // abort_ and skip evaluation — can still drive the trial to
@@ -289,12 +298,14 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
   }
 
   // Drain: every admitted trial finalizes (fold tasks of aborted runs skip
-  // their evaluation but still run their bookkeeping).
+  // their evaluation but still run their bookkeeping) and retires itself
+  // from live_.
   {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return inflight_ == 0; });
   }
   pool_.wait_idle();
+  records_ = nullptr;
 
   std::exception_ptr error;
   {
@@ -302,13 +313,6 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
     error = first_error_;
   }
   if (error) std::rethrow_exception(error);
-
-  // Deterministic merge: submission order, keep-slots only.
-  TrialDatabase db;
-  for (const auto& trial : trials_) {
-    if (trial->keep) db.add(std::move(*trial->result));
-  }
-  trials_.clear();
 
   stats_.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -326,141 +330,6 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
                    << " pruned in " << stats_.wall_seconds << "s on "
                    << pool_.size() << " threads";
   }
-  return db;
-}
-
-SchedulerStats TrialScheduler::run_streamed(CandidateStream& stream) {
-  DCNAS_CHECK(!options_.store_dir.empty(),
-              "run_streamed requires SchedulerOptions::store_dir — streamed "
-              "results live in the store, not a returned database");
-  obs::Span run_span("nas", "nas.sched.run_streamed");
-  if (run_span.armed()) {
-    run_span.arg("trials", static_cast<std::int64_t>(stream.total()));
-    run_span.arg("threads", static_cast<std::int64_t>(pool_.size()));
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  auto& metrics = SchedulerMetrics::instance();
-
-  prepare_run();
-
-  const int folds = experiment_.evaluator().fold_count();
-  DCNAS_CHECK(folds >= 1, "evaluator must report >= 1 fold");
-
-  trials_.clear();
-  live_.clear();
-  streaming_ = true;
-
-  const std::size_t max_inflight =
-      options_.max_inflight_trials != 0
-          ? options_.max_inflight_trials
-          : std::max<std::size_t>(1, 2 * pool_.size());
-  const std::int64_t total = stream.total();
-  std::int64_t consumed = 0;
-
-  TrialState* admitting = nullptr;  ///< trial being fanned out right now
-  int submitted = 0;                ///< its fold tasks actually enqueued
-  try {
-    while (std::optional<TrialConfig> config = stream.next()) {
-      ++consumed;
-      TrialState* trial;
-      {
-        auto state = std::make_unique<TrialState>();
-        state->config = *config;
-        state->index = static_cast<std::size_t>(consumed - 1);
-        state->folds = folds;
-        if (resolve_from_history(state.get())) {
-          ++stats_.resumed;
-          metrics.resumed.add(1);
-          continue;  // state frees here; the record is already on disk
-        }
-        trial = state.get();
-        std::lock_guard<std::mutex> lock(mu_);
-        live_.emplace(trial, std::move(state));
-      }
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return inflight_ < max_inflight || abort_; });
-        if (abort_) {
-          live_.erase(trial);
-          break;
-        }
-        ++inflight_;
-        metrics.inflight.set(static_cast<double>(inflight_));
-      }
-      metrics.queue_depth.set(static_cast<double>(total - consumed));
-      admitting = trial;
-      submitted = 0;
-      verify_candidate(trial->config);
-      trial->admitted_at = std::chrono::steady_clock::now();
-      trial->fold_acc.assign(static_cast<std::size_t>(folds), 0.0);
-      trial->fold_done.assign(static_cast<std::size_t>(folds), 0);
-      trial->remaining_tasks = folds;
-      ++stats_.scheduled;
-      for (int f = 0; f < folds; ++f) {
-        pool_.submit(std::function<void()>(
-            [this, trial, f] { run_fold_task(trial, f); }));
-        ++submitted;
-      }
-      admitting = nullptr;
-    }
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      abort_ = true;
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    if (admitting != nullptr && submitted == 0) {
-      // Verification threw before any fold task enqueued: retire the slot
-      // and the state here.
-      std::lock_guard<std::mutex> lock(mu_);
-      --inflight_;
-      live_.erase(admitting);
-    } else if (admitting != nullptr) {
-      // Partial fan-out: same accounting as run() — the queued tasks see
-      // abort_, skip evaluation, and drive the trial to finalize.
-      bool finalize_now;
-      {
-        std::lock_guard<std::mutex> lock(admitting->state_mu);
-        admitting->remaining_tasks -= admitting->folds - submitted;
-        finalize_now = admitting->remaining_tasks == 0;
-      }
-      if (finalize_now) finalize_trial(admitting);
-    }
-    cv_.notify_all();
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return inflight_ == 0; });
-  }
-  pool_.wait_idle();
-  streaming_ = false;
-
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    error = first_error_;
-    live_.clear();  // abort may leave never-admitted states behind
-  }
-  if (error) std::rethrow_exception(error);
-
-  stats_.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  metrics.inflight.set(0.0);
-  metrics.queue_depth.set(0.0);
-  if (stats_.wall_seconds > 0.0) {
-    metrics.trials_per_s.set(
-        static_cast<double>(stats_.completed + stats_.pruned) /
-        stats_.wall_seconds);
-  }
-  if (options_.log_progress) {
-    DCNAS_LOG_INFO << "scheduler streamed run: " << stats_.completed
-                   << " completed, " << stats_.resumed << " resumed, "
-                   << stats_.pruned << " pruned in " << stats_.wall_seconds
-                   << "s on " << pool_.size() << " threads";
-  }
-  return stats_;
 }
 
 void TrialScheduler::run_fold_task(TrialState* trial, int fold) {
@@ -540,20 +409,20 @@ void TrialScheduler::finalize_trial(TrialState* trial) {
   }
   // An aborted run leaves fold tasks skipped on trials that neither failed
   // nor pruned themselves (done < folds). Those are incomplete: a kOk
-  // journal entry would persist zero-filled accuracies that a resume run
-  // trusts verbatim, so they get no journal entry and no keep-slot — the
-  // next run re-evaluates them from scratch.
+  // store record would persist zero-filled accuracies that a resume run
+  // trusts verbatim, so they get no record and no merge slot — the next
+  // run re-evaluates them from scratch.
   const bool complete = !failed && !pruned && done == trial->folds;
 
-  // Nothing below may escape: this runs on a pool worker, and run() blocks
-  // on inflight_ reaching zero — an escaped exception (journal append on a
-  // full disk, fill_hardware_objectives) would skip the bookkeeping and
-  // hang the run forever instead of reporting the error.
+  // Nothing below may escape: this runs on a pool worker, and the drain
+  // blocks on inflight_ reaching zero — an escaped exception (store append
+  // on a full disk, fill_hardware_objectives) would skip the bookkeeping
+  // and hang the run forever instead of reporting the error.
   bool finalize_ok = true;
   try {
     if (!failed && pruned) {
       DCNAS_TRACE_SPAN("nas", "nas.sched.trial.pruned");
-      if (journal_ != nullptr || store_ != nullptr) {
+      if (store_ != nullptr) {
         JournalEntry entry;
         entry.status = TrialStatus::kPruned;
         entry.record.config = trial->config;
@@ -579,7 +448,7 @@ void TrialScheduler::finalize_trial(TrialState* trial) {
       if (options_.pruner.enabled) {
         rule_->report_completed(running_means(record.fold_accuracies));
       }
-      if (journal_ != nullptr || store_ != nullptr) {
+      if (store_ != nullptr) {
         JournalEntry entry;
         entry.status = TrialStatus::kOk;
         entry.record = record;
@@ -590,8 +459,7 @@ void TrialScheduler::finalize_trial(TrialState* trial) {
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - trial->admitted_at)
               .count());
-      trial->result = std::move(record);
-      trial->keep = true;
+      if (records_ != nullptr) (*records_)[trial->index] = std::move(record);
     }
   } catch (...) {
     finalize_ok = false;
@@ -601,6 +469,7 @@ void TrialScheduler::finalize_trial(TrialState* trial) {
   }
 
   std::size_t finished;
+  std::unique_ptr<TrialState> retired;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (finalize_ok && ((!failed && pruned) || complete)) {
@@ -620,19 +489,18 @@ void TrialScheduler::finalize_trial(TrialState* trial) {
     --inflight_;
     metrics.inflight.set(static_cast<double>(inflight_));
     finished = stats_.completed + stats_.pruned;
+    // The trial retires here: its record is in the store and/or its merge
+    // slot, and this task is provably the last to touch the state
+    // (remaining_tasks hit zero). Peak memory stays O(max_inflight_trials)
+    // however long the stream. The state is destroyed outside the lock.
+    const auto it = live_.find(trial);
+    retired = std::move(it->second);
+    live_.erase(it);
   }
   cv_.notify_all();
   if (options_.log_progress && finished % 200 == 0 && finished > 0) {
     DCNAS_LOG_INFO << "scheduler progress: " << finished
                    << " trials finished";
-  }
-  if (streaming_) {
-    // Streamed trials retire here: the record is in the store, nothing
-    // merges later, and this task is provably the last to touch the state
-    // (remaining_tasks hit zero above). Without this, a 10^5-point sweep
-    // would accumulate one TrialState per lattice point.
-    std::lock_guard<std::mutex> lock(mu_);
-    live_.erase(trial);
   }
 }
 

@@ -14,8 +14,9 @@
 ///     statistics are baked into plan-owned copies of the conv weights:
 ///       w'_oc = w_oc · γ_oc / √(σ²_oc + ε)
 ///       b'_oc = β_oc + (b_oc − μ_oc) · γ_oc / √(σ²_oc + ε)
-///     (b_oc = 0 unless the executor had already folded). Executors that
-///     arrive pre-folded (identity BN nodes) are copied verbatim.
+///     (b_oc is the conv's own bias, 0 when absent; the formula is
+///     graph::fold_batchnorm_into_conv). Executors that arrive pre-folded
+///     (identity BN nodes) are copied verbatim.
 ///  4. Arena assignment — liveness analysis over the step list assigns
 ///     every intermediate activation a fixed per-sample offset in one
 ///     arena via a greedy best-fit free-list sweep.

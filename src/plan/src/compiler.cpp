@@ -1,7 +1,6 @@
 #include "dcnas/plan/compiler.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <map>
 #include <set>
@@ -58,19 +57,6 @@ std::vector<graph::FusedKernel> unfused_groups(const ModelGraph& g) {
 bool is_conv_kind(KernelKind kind) {
   return kind == KernelKind::kConv || kind == KernelKind::kConvRelu ||
          kind == KernelKind::kConvBn || kind == KernelKind::kConvBnRelu;
-}
-
-/// Bakes BN running statistics into a conv weight/bias pair:
-///   w'_oc = w_oc · γ_oc/√(σ²_oc+ε),  b'_oc = β_oc + (b_oc − μ_oc)·γ_oc/√(σ²_oc+ε)
-void fold_bn_into(Tensor& weight, Tensor& bias, const NodeState& bn_state,
-                  std::int64_t oc, std::int64_t row, float eps) {
-  for (std::int64_t c = 0; c < oc; ++c) {
-    const float inv_std = 1.0f / std::sqrt(bn_state.bn_var[c] + eps);
-    const float scale = bn_state.bn_gamma[c] * inv_std;
-    float* w_row = weight.data() + c * row;
-    for (std::int64_t j = 0; j < row; ++j) w_row[j] *= scale;
-    bias[c] = bn_state.bn_beta[c] + (bias[c] - bn_state.bn_mean[c]) * scale;
-  }
 }
 
 /// Greedy best-fit free-list arena assignment over the step list: walk
@@ -252,12 +238,9 @@ CompiledPlan PlanCompiler::compile(const graph::GraphExecutor& exec) const {
 
     const NodeState& ps = state[static_cast<std::size_t>(primary)];
     if (is_conv_kind(group.kind)) {
-      step.weight = ps.conv_weight;  // deep copy: the plan owns its weights
-      const std::int64_t oc = pn.out_shape.c;
-      const std::int64_t row =
-          pn.in_shape.c * pn.attrs.kernel * pn.attrs.kernel;
-      Tensor bias = ps.bias ? *ps.bias : Tensor({oc});
-      bool has_bias = ps.bias.has_value();
+      // Deep copies: the plan owns its weights.
+      step.weight = ps.conv_weight;
+      step.bias = ps.bias;
       if (group.kind == KernelKind::kConvBn ||
           group.kind == KernelKind::kConvBnRelu) {
         const int bn = group.nodes[1];
@@ -267,13 +250,14 @@ CompiledPlan PlanCompiler::compile(const graph::GraphExecutor& exec) const {
                      "fuse_graph folded a BN the legality pass refused");
         if (!identity[static_cast<std::size_t>(bn)]) {
           // Fold now; pre-folded executors already absorbed the BN.
-          fold_bn_into(step.weight, bias,
-                       state[static_cast<std::size_t>(bn)], oc, row, eps);
+          graph::fold_batchnorm_into_conv(
+              step.weight, step.bias, state[static_cast<std::size_t>(bn)],
+              eps);
+        } else if (!step.bias) {
+          step.bias = Tensor({pn.out_shape.c});
         }
-        has_bias = true;
         ++plan.folded_batchnorms;
       }
-      if (has_bias) step.bias = std::move(bias);
     } else if (group.kind == KernelKind::kLinear) {
       step.weight = ps.linear_weight;
       DCNAS_ASSERT(ps.bias.has_value(), "linear step without bias");
@@ -284,14 +268,9 @@ CompiledPlan PlanCompiler::compile(const graph::GraphExecutor& exec) const {
         step.bn_scale = Tensor({pn.out_shape.c}, 1.0f);
         step.bn_shift = Tensor({pn.out_shape.c});
       } else {
-        step.bn_scale = Tensor({pn.out_shape.c});
-        step.bn_shift = Tensor({pn.out_shape.c});
-        for (std::int64_t c = 0; c < pn.out_shape.c; ++c) {
-          const float inv_std = 1.0f / std::sqrt(ps.bn_var[c] + eps);
-          const float scale = ps.bn_gamma[c] * inv_std;
-          step.bn_scale[c] = scale;
-          step.bn_shift[c] = ps.bn_beta[c] - ps.bn_mean[c] * scale;
-        }
+        graph::BatchNormAffine affine = graph::batchnorm_affine(ps, eps);
+        step.bn_scale = std::move(affine.scale);
+        step.bn_shift = std::move(affine.shift);
       }
     }
 

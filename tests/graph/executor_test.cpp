@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "dcnas/graph/builder.hpp"
 
@@ -77,6 +78,43 @@ TEST(GraphExecutorTest, BatchNormFoldingPreservesOutputs) {
   EXPECT_TRUE(exec.folded());
   const Tensor after = exec.run(x);
   EXPECT_LT(max_abs_diff(before, after), 2e-3);
+}
+
+TEST(GraphExecutorTest, BatchNormAffineAbsorbsConvBias) {
+  constexpr float kEps = 1e-5f;
+  NodeState bn;
+  bn.bn_gamma = Tensor::from_values({3}, {0.5f, 1.0f, 2.0f});
+  bn.bn_beta = Tensor::from_values({3}, {0.1f, -0.2f, 0.3f});
+  bn.bn_mean = Tensor::from_values({3}, {1.0f, -0.5f, 0.25f});
+  bn.bn_var = Tensor::from_values({3}, {0.25f, 1.0f, 4.0f});
+  const Tensor bias = Tensor::from_values({3}, {0.75f, -1.5f, 2.0f});
+
+  const BatchNormAffine plain = batchnorm_affine(bn, kEps);
+  const BatchNormAffine biased = batchnorm_affine(bn, kEps, bias);
+  for (std::int64_t c = 0; c < 3; ++c) {
+    const float scale = bn.bn_gamma[c] / std::sqrt(bn.bn_var[c] + kEps);
+    EXPECT_FLOAT_EQ(plain.scale[c], scale) << c;
+    EXPECT_EQ(biased.scale[c], plain.scale[c]) << c;
+    EXPECT_FLOAT_EQ(plain.shift[c], bn.bn_beta[c] - bn.bn_mean[c] * scale);
+    // BN(x + b) == x·scale + shift_b: the bias survives the fold.
+    for (const float x : {-1.0f, 0.0f, 3.0f}) {
+      EXPECT_NEAR(x * biased.scale[c] + biased.shift[c],
+                  (x + bias[c]) * plain.scale[c] + plain.shift[c], 1e-5)
+          << c;
+    }
+  }
+
+  // Folding into a conv scales each output-channel row and replaces the
+  // bias with the biased shift.
+  Tensor weight = Tensor::full({3, 2}, 2.0f);
+  std::optional<Tensor> conv_bias = bias;
+  fold_batchnorm_into_conv(weight, conv_bias, bn, kEps);
+  ASSERT_TRUE(conv_bias.has_value());
+  for (std::int64_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(weight[c * 2], 2.0f * biased.scale[c]) << c;
+    EXPECT_EQ(weight[c * 2 + 1], 2.0f * biased.scale[c]) << c;
+    EXPECT_EQ((*conv_bias)[c], biased.shift[c]) << c;
+  }
 }
 
 TEST(GraphExecutorTest, FoldsEveryConvBnPair) {

@@ -2,16 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dcnas/common/error.hpp"
 #include "dcnas/common/rng.hpp"
 #include "dcnas/common/strings.hpp"
+#include "dcnas/nas/store/format.hpp"
 
 namespace dcnas::nas {
 namespace {
@@ -26,20 +28,65 @@ std::vector<TrialConfig> sample_configs(std::size_t n, std::uint64_t seed) {
 
 std::string csv_text(const TrialDatabase& db) { return db.to_csv().to_string(); }
 
-class TempPath {
+class TempDir {
  public:
-  explicit TempPath(const std::string& name)
+  explicit TempDir(const std::string& name)
       : path_((std::filesystem::temp_directory_path() /
                ("dcnas_sched_test_" + name))
                   .string()) {
-    std::remove(path_.c_str());
+    std::filesystem::remove_all(path_);
   }
-  ~TempPath() { std::remove(path_.c_str()); }
+  ~TempDir() { std::filesystem::remove_all(path_); }
   const std::string& str() const { return path_; }
 
  private:
   std::string path_;
 };
+
+SchedulerOptions store_options(const TempDir& dir, std::size_t threads) {
+  SchedulerOptions opt;
+  opt.threads = threads;
+  opt.store_dir = dir.str();
+  opt.fsync_store = false;
+  return opt;
+}
+
+// Raw access to a store's files, for crash simulations.
+
+std::string store_file(const TempDir& dir, const std::string& name) {
+  return (std::filesystem::path(dir.str()) / name).string();
+}
+
+store::ControlBlock read_control(const TempDir& dir) {
+  store::ControlBlock ctrl;
+  std::ifstream in(store_file(dir, "store.ctrl"), std::ios::binary);
+  in.read(reinterpret_cast<char*>(&ctrl), sizeof(ctrl));
+  EXPECT_TRUE(in.good());
+  return ctrl;
+}
+
+/// Overwrites the control block, re-stamping its CRC the way a commit does.
+void write_control(const TempDir& dir, store::ControlBlock ctrl) {
+  ctrl.crc = 0;
+  ctrl.crc = fnv1a64(
+      std::string_view(reinterpret_cast<const char*>(&ctrl), sizeof(ctrl)));
+  std::fstream out(store_file(dir, "store.ctrl"),
+                   std::ios::binary | std::ios::in | std::ios::out);
+  out.write(reinterpret_cast<const char*>(&ctrl), sizeof(ctrl));
+}
+
+std::streamoff slot_offset(std::uint64_t index) {
+  return static_cast<std::streamoff>(index * sizeof(store::TrialSlot));
+}
+
+store::TrialSlot read_slot(const TempDir& dir, std::uint64_t index) {
+  store::TrialSlot slot;
+  std::ifstream in(store_file(dir, "trials-00000.chunk"), std::ios::binary);
+  in.seekg(slot_offset(index));
+  in.read(reinterpret_cast<char*>(&slot), sizeof(slot));
+  EXPECT_TRUE(in.good());
+  return slot;
+}
 
 // ---- determinism parity -----------------------------------------------------
 
@@ -80,18 +127,15 @@ TEST(SchedulerTest, DuplicateConfigsKeepSubmissionOrder) {
   EXPECT_EQ(parallel, csv_text(exp.run_all(configs)));
 }
 
-// ---- resume journal ---------------------------------------------------------
+// ---- resume from the store -------------------------------------------------
 
-TEST(SchedulerTest, ResumesFromJournalWithoutReevaluating) {
+TEST(SchedulerTest, ResumesFromStoreWithoutReevaluating) {
   OracleEvaluator eval;
   const Experiment exp(eval, latency::NnMeter::shared());
   const auto configs = sample_configs(12, 5);
-  const TempPath journal("resume.dcj");
+  const TempDir store("resume");
 
-  SchedulerOptions opt;
-  opt.threads = 2;
-  opt.journal_path = journal.str();
-  opt.fsync_journal = false;
+  const SchedulerOptions opt = store_options(store, 2);
   const std::string serial = csv_text(exp.run_all(configs));
   {
     TrialScheduler first(exp, opt);
@@ -109,139 +153,85 @@ TEST(SchedulerTest, ResumeAfterTornTailReevaluatesOnlyTheLostTrials) {
   OracleEvaluator eval;
   const Experiment exp(eval, latency::NnMeter::shared());
   const auto configs = sample_configs(10, 7);
-  const TempPath journal("torn.dcj");
+  const TempDir store("torn");
 
-  SchedulerOptions opt;
-  opt.threads = 2;
-  opt.journal_path = journal.str();
-  opt.fsync_journal = false;
+  const SchedulerOptions opt = store_options(store, 2);
   const std::string serial = csv_text(exp.run_all(configs));
   {
     TrialScheduler first(exp, opt);
     EXPECT_EQ(csv_text(first.run(configs)), serial);
   }
-  // Crash simulation: cut the file mid-way through the final line.
-  const auto full_size = std::filesystem::file_size(journal.str());
-  std::filesystem::resize_file(journal.str(), full_size - 20);
+  // Crash simulation: the last commit wrote its strings and its slot but
+  // died before publishing the control block, so the counters still
+  // describe the store one record earlier.
+  store::ControlBlock ctrl = read_control(store);
+  ASSERT_EQ(ctrl.committed_records, configs.size());
+  const store::TrialSlot last = read_slot(store, ctrl.committed_records - 1);
+  ctrl.committed_records -= 1;
+  ctrl.committed_string_bytes = last.key_off;  // a record's key comes first
+  write_control(store, ctrl);
 
   TrialScheduler second(exp, opt);
   EXPECT_EQ(csv_text(second.run(configs)), serial);
-  // Exactly one trial (the torn one) was re-evaluated.
+  // Exactly one trial (the unpublished one) was re-evaluated.
   EXPECT_EQ(second.stats().resumed, configs.size() - 1);
   EXPECT_EQ(second.stats().scheduled, 1u);
+  ASSERT_NE(second.store(), nullptr);
+  EXPECT_EQ(second.store()->recovery().torn_records, 1u);
+  EXPECT_GT(second.store()->recovery().torn_string_bytes, 0u);
 
-  // And the journal healed: a third run resumes everything.
+  // And the store healed: a third run resumes everything.
   TrialScheduler third(exp, opt);
   EXPECT_EQ(csv_text(third.run(configs)), serial);
   EXPECT_EQ(third.stats().resumed, configs.size());
 }
 
-TEST(SchedulerTest, JournaledRunSurvivesMidFileCorruption) {
+TEST(SchedulerTest, StoredRunSurvivesMidFileCorruption) {
   OracleEvaluator eval;
   const Experiment exp(eval, latency::NnMeter::shared());
   const auto configs = sample_configs(6, 9);
-  const TempPath journal("corrupt.dcj");
+  const TempDir store("corrupt");
 
-  SchedulerOptions opt;
-  opt.threads = 2;
-  opt.journal_path = journal.str();
-  opt.fsync_journal = false;
+  const SchedulerOptions opt = store_options(store, 2);
   const std::string serial = csv_text(exp.run_all(configs));
   {
     TrialScheduler first(exp, opt);
     (void)first.run(configs);
   }
-  // Flip a digit inside the third line's payload: its checksum now fails,
-  // so that trial must be re-evaluated while the others resume.
-  std::ifstream in(journal.str());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  in.close();
-  ASSERT_GE(lines.size(), 4u);
-  std::string& target = lines[3];
-  const auto digit = target.find_first_of("0123456789", target.find(',') + 1);
-  ASSERT_NE(digit, std::string::npos);
-  target[digit] = target[digit] == '9' ? '1' : '9';
+  // Damage record 3's payload (its CRC now fails) and the control block.
+  // Recovery rebuilds the counters from the longest valid record prefix,
+  // so records 0-2 resume and the rest re-evaluate.
+  constexpr std::uint64_t kDamaged = 3;
   {
-    std::ofstream out(journal.str(), std::ios::trunc);
-    for (const auto& line : lines) out << line << "\n";
+    std::fstream chunk(store_file(store, "trials-00000.chunk"),
+                       std::ios::binary | std::ios::in | std::ios::out);
+    const std::streamoff at =
+        slot_offset(kDamaged) +
+        static_cast<std::streamoff>(offsetof(store::TrialSlot, accuracy_bits));
+    char byte = 0;
+    chunk.seekg(at);
+    chunk.read(&byte, 1);
+    byte = static_cast<char>(~byte);
+    chunk.seekp(at);
+    chunk.write(&byte, 1);
+    std::fstream ctrl(store_file(store, "store.ctrl"),
+                      std::ios::binary | std::ios::in | std::ios::out);
+    ctrl.seekp(static_cast<std::streamoff>(
+        offsetof(store::ControlBlock, committed_records)));
+    const char garbage = '\x5a';
+    ctrl.write(&garbage, 1);
   }
 
   TrialScheduler second(exp, opt);
   EXPECT_EQ(csv_text(second.run(configs)), serial);
-  EXPECT_LT(second.stats().resumed, configs.size());
-  EXPECT_GE(second.stats().resumed, 1u);
-}
+  EXPECT_EQ(second.stats().resumed, kDamaged);
+  EXPECT_EQ(second.stats().scheduled, configs.size() - kDamaged);
+  ASSERT_NE(second.store(), nullptr);
+  EXPECT_TRUE(second.store()->recovery().control_rebuilt);
 
-// ---- journal encode/decode --------------------------------------------------
-
-TEST(TrialJournalTest, EncodeDecodeRoundTripsBitExactly) {
-  JournalEntry entry;
-  entry.record.config = TrialConfig::baseline(7, 16);
-  entry.record.accuracy = 87.123456789012345;
-  entry.record.latency_ms = 415.73415977261743;
-  entry.record.lat_std = 285.0203368304029;
-  entry.record.memory_mb = 44.804802;
-  entry.record.fold_accuracies = {86.3766644856339, 85.95641759017106,
-                                  86.38652171093284, 89.46831624538649,
-                                  86.88766613705032};
-  entry.record.per_device_ms = {{"cortexA76cpu", 325.48614348128393},
-                                {"myriadvpu", 838.5355983578854}};
-  entry.fold_indices = {0, 1, 2, 3, 4};
-
-  const std::string line = TrialJournal::encode_line(entry);
-  const auto decoded = TrialJournal::decode_line(line);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->status, TrialStatus::kOk);
-  EXPECT_EQ(decoded->record.config.lattice_key(),
-            entry.record.config.lattice_key());
-  EXPECT_EQ(decoded->record.accuracy, entry.record.accuracy);
-  EXPECT_EQ(decoded->record.latency_ms, entry.record.latency_ms);
-  EXPECT_EQ(decoded->record.lat_std, entry.record.lat_std);
-  EXPECT_EQ(decoded->record.memory_mb, entry.record.memory_mb);
-  EXPECT_EQ(decoded->record.fold_accuracies, entry.record.fold_accuracies);
-  EXPECT_EQ(decoded->record.per_device_ms, entry.record.per_device_ms);
-  EXPECT_EQ(decoded->fold_indices, entry.fold_indices);
-}
-
-TEST(TrialJournalTest, PrunedEntryRoundTripsPartialFolds) {
-  JournalEntry entry;
-  entry.status = TrialStatus::kPruned;
-  entry.record.config = TrialConfig::baseline(5, 8);
-  entry.record.fold_accuracies = {81.5, 80.25};
-  entry.record.accuracy = 80.875;
-  entry.fold_indices = {0, 2};
-
-  const auto decoded = TrialJournal::decode_line(TrialJournal::encode_line(entry));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->status, TrialStatus::kPruned);
-  EXPECT_EQ(decoded->fold_indices, (std::vector<int>{0, 2}));
-  EXPECT_EQ(decoded->record.fold_accuracies, (std::vector<double>{81.5, 80.25}));
-}
-
-TEST(TrialJournalTest, DecodeRejectsCorruptedLines) {
-  JournalEntry entry;
-  entry.record.config = TrialConfig::baseline(7, 32);
-  entry.record.fold_accuracies = {85.0};
-  entry.fold_indices = {0};
-  const std::string line = TrialJournal::encode_line(entry);
-
-  EXPECT_FALSE(TrialJournal::decode_line("").has_value());
-  EXPECT_FALSE(TrialJournal::decode_line("garbage").has_value());
-  EXPECT_FALSE(TrialJournal::decode_line(line.substr(0, line.size() - 3))
-                   .has_value());
-  std::string flipped = line;
-  flipped[5] = flipped[5] == '7' ? '5' : '7';  // damage the payload
-  EXPECT_FALSE(TrialJournal::decode_line(flipped).has_value());
-}
-
-TEST(TrialJournalTest, RejectsNonJournalFile) {
-  const TempPath path("notajournal.dcj");
-  {
-    std::ofstream out(path.str());
-    out << "channels,batch,accuracy\n5,8,90.0\n";
-  }
-  EXPECT_THROW(TrialJournal journal(path.str()), InvalidArgument);
+  TrialScheduler third(exp, opt);
+  EXPECT_EQ(csv_text(third.run(configs)), serial);
+  EXPECT_EQ(third.stats().resumed, configs.size());
 }
 
 // ---- median-stop pruning ----------------------------------------------------
@@ -323,16 +313,13 @@ TEST(SchedulerTest, PruningSkipsFoldsWithoutChangingSurvivors) {
   }
 }
 
-TEST(SchedulerTest, PrunedJournalEntriesResumeOnlyWithPrunerOn) {
+TEST(SchedulerTest, PrunedStoreEntriesResumeOnlyWithPrunerOn) {
   OracleEvaluator eval;
   const Experiment exp(eval, latency::NnMeter::shared());
   const auto configs = sample_configs(32, 17);
-  const TempPath journal("pruned.dcj");
+  const TempDir store("pruned");
 
-  SchedulerOptions opt;
-  opt.threads = 4;
-  opt.journal_path = journal.str();
-  opt.fsync_journal = false;
+  SchedulerOptions opt = store_options(store, 4);
   opt.pruner.enabled = true;
   opt.pruner.warmup_trials = 4;
   opt.pruner.min_folds = 2;
@@ -393,7 +380,7 @@ TEST(SchedulerTest, EvaluatorExceptionAbortsAndRethrows) {
 }
 
 /// Delegates to the oracle except for one poisoned (config, fold) pair —
-/// lets an abort happen mid-search while every other journaled value stays
+/// lets an abort happen mid-search while every other stored value stays
 /// the true oracle value.
 class FlakyOracleEvaluator : public Evaluator {
  public:
@@ -417,17 +404,15 @@ class FlakyOracleEvaluator : public Evaluator {
   int bad_fold_;
 };
 
-TEST(SchedulerTest, AbortedRunNeverJournalsIncompleteTrials) {
+// An aborted run leaves in-flight trials whose remaining folds were
+// skipped (zero-filled in memory); none of them may reach the store as ok.
+// Resuming with a healthy evaluator must then reproduce the serial sweep
+// exactly — a zero-corrupted ok record would survive resume verbatim and
+// break this parity.
+TEST(SchedulerTest, AbortedRunNeverStoresIncompleteTrials) {
   const auto configs = sample_configs(16, 31);
-  const TempPath journal("abort.dcj");
-  SchedulerOptions opt;
-  opt.threads = 4;
-  opt.journal_path = journal.str();
-  opt.fsync_journal = false;
-
-  // First run aborts mid-search: in-flight trials whose remaining folds
-  // were skipped by the abort must not be journaled as ok (their missing
-  // folds are zero-filled in memory).
+  const TempDir store("abort");
+  const SchedulerOptions opt = store_options(store, 4);
   {
     FlakyOracleEvaluator flaky(configs[8].lattice_key(), 2);
     const Experiment exp(flaky, latency::NnMeter::shared());
@@ -435,10 +420,6 @@ TEST(SchedulerTest, AbortedRunNeverJournalsIncompleteTrials) {
     EXPECT_THROW(scheduler.run(configs), InvalidArgument);
   }
 
-  // Resume with a healthy evaluator: every journal entry must hold fully
-  // evaluated oracle values, so the merged database is exactly the serial
-  // sweep. A zero-corrupted ok entry would survive resume verbatim and
-  // break this parity.
   OracleEvaluator eval;
   const Experiment exp(eval, latency::NnMeter::shared());
   const std::string serial = csv_text(exp.run_all(configs));
@@ -446,6 +427,28 @@ TEST(SchedulerTest, AbortedRunNeverJournalsIncompleteTrials) {
   EXPECT_EQ(csv_text(second.run(configs)), serial);
   EXPECT_EQ(second.stats().resumed + second.stats().scheduled,
             configs.size());
+}
+
+TEST(SchedulerTest, AbortedStreamedRunNeverStoresIncompleteTrials) {
+  const auto configs = sample_configs(16, 31);
+  const TempDir store("abort_streamed");
+  const SchedulerOptions opt = store_options(store, 4);
+  {
+    FlakyOracleEvaluator flaky(configs[8].lattice_key(), 2);
+    const Experiment exp(flaky, latency::NnMeter::shared());
+    TrialScheduler scheduler(exp, opt);
+    VectorStream stream(configs);
+    EXPECT_THROW(scheduler.run_streamed(stream), InvalidArgument);
+  }
+
+  OracleEvaluator eval;
+  const Experiment exp(eval, latency::NnMeter::shared());
+  TrialScheduler second(exp, opt);
+  VectorStream stream(configs);
+  const SchedulerStats stats = second.run_streamed(stream);
+  EXPECT_EQ(stats.resumed + stats.scheduled, configs.size());
+  EXPECT_EQ(csv_text(second.store()->assemble(configs)),
+            csv_text(exp.run_all(configs)));
 }
 
 TEST(SchedulerTest, FinalizeExceptionAbortsInsteadOfHanging) {

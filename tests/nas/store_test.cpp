@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,7 +14,6 @@
 #include "dcnas/common/error.hpp"
 #include "dcnas/common/rng.hpp"
 #include "dcnas/nas/experiment.hpp"
-#include "dcnas/nas/journal.hpp"
 #include "dcnas/nas/search_space.hpp"
 #include "dcnas/nas/store/format.hpp"
 
@@ -145,6 +145,75 @@ TEST(TrialStoreTest, LatticeFingerprintMismatchThrows) {
   EXPECT_EQ(reopen.lattice_fingerprint(), create.lattice_fingerprint);
 }
 
+TEST(TrialStoreTest, EntryRoundTripsBitExactly) {
+  JournalEntry entry;
+  entry.record.config = TrialConfig::baseline(7, 16);
+  entry.record.accuracy = 87.123456789012345;
+  entry.record.latency_ms = 415.73415977261743;
+  entry.record.lat_std = 285.0203368304029;
+  entry.record.memory_mb = 44.804802;
+  entry.record.fold_accuracies = {86.3766644856339, 85.95641759017106,
+                                  86.38652171093284, 89.46831624538649,
+                                  86.88766613705032};
+  entry.record.per_device_ms = {{"cortexA76cpu", 325.48614348128393},
+                                {"myriadvpu", 838.5355983578854}};
+  entry.fold_indices = {0, 1, 2, 3, 4};
+
+  const TempDir dir("bitexact");
+  { TrialStore(dir.str(), fast_options()).append(entry); }
+  const TrialStore store(dir.str(), fast_options());
+  ASSERT_EQ(store.size(), 1u);
+  const JournalEntry decoded = store.read(0);
+  EXPECT_EQ(decoded.status, TrialStatus::kOk);
+  EXPECT_EQ(decoded.record.config.lattice_key(),
+            entry.record.config.lattice_key());
+  EXPECT_EQ(decoded.record.accuracy, entry.record.accuracy);
+  EXPECT_EQ(decoded.record.latency_ms, entry.record.latency_ms);
+  EXPECT_EQ(decoded.record.lat_std, entry.record.lat_std);
+  EXPECT_EQ(decoded.record.memory_mb, entry.record.memory_mb);
+  EXPECT_EQ(decoded.record.fold_accuracies, entry.record.fold_accuracies);
+  EXPECT_EQ(decoded.record.per_device_ms, entry.record.per_device_ms);
+  EXPECT_EQ(decoded.fold_indices, entry.fold_indices);
+}
+
+TEST(TrialStoreTest, PrunedEntryRoundTripsPartialFolds) {
+  JournalEntry entry;
+  entry.status = TrialStatus::kPruned;
+  entry.record.config = TrialConfig::baseline(5, 8);
+  entry.record.fold_accuracies = {81.5, 80.25};
+  entry.record.accuracy = 80.875;
+  entry.fold_indices = {0, 2};
+
+  const TempDir dir("pruned");
+  { TrialStore(dir.str(), fast_options()).append(entry); }
+  const TrialStore store(dir.str(), fast_options());
+  const JournalEntry* decoded = store.find(entry.record.config.lattice_key());
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(decoded->status, TrialStatus::kPruned);
+  EXPECT_EQ(decoded->fold_indices, (std::vector<int>{0, 2}));
+  EXPECT_EQ(decoded->record.fold_accuracies,
+            (std::vector<double>{81.5, 80.25}));
+  // Pruned trials are not results: the database view leaves them out.
+  EXPECT_EQ(store.to_database().size(), 0u);
+}
+
+TEST(TrialStoreTest, RejectsNonStorePaths) {
+  const TempDir dir("notastore");
+  fs::create_directories(dir.str());
+  const std::string csv = (fs::path(dir.str()) / "trials.csv").string();
+  {
+    std::ofstream out(csv);
+    out << "channels,batch,accuracy\n5,8,90.0\n";
+  }
+  // A file where the store directory should be (e.g. --store trials.csv).
+  EXPECT_THROW(TrialStore(csv, fast_options()), InvalidArgument);
+  // A directory whose store.ctrl is something else entirely.
+  const std::string foreign = (fs::path(dir.str()) / "foreign").string();
+  fs::create_directories(foreign);
+  fs::copy_file(csv, fs::path(foreign) / "store.ctrl");
+  EXPECT_THROW(TrialStore(foreign, fast_options()), InvalidArgument);
+}
+
 // ---- crash recovery ---------------------------------------------------------
 
 TEST(TrialStoreTest, TornTailBeyondCommitPointIsDiscarded) {
@@ -214,6 +283,34 @@ TEST(TrialStoreTest, CorruptControlBlockIsRebuiltFromChunkScan) {
   EXPECT_TRUE(store.recovery().control_rebuilt);
   EXPECT_EQ(store.size(), configs.size());
   EXPECT_EQ(csv_text(store.assemble(configs)), expected_csv);
+}
+
+// A committed record whose CRC fails was not torn by a crash (recovery only
+// ever repairs bytes beyond the commit point): refuse to open instead of
+// serving a damaged result.
+TEST(TrialStoreTest, CorruptCommittedRecordRefusesToOpen) {
+  OracleEvaluator eval;
+  const Experiment exp(eval, latency::NnMeter::shared());
+  const auto configs = sample_configs(4, 37);
+  const TempDir dir("badrecord");
+  {
+    TrialStore store(dir.str(), fast_options());
+    for (const auto& c : configs) store.append(make_entry(exp, c));
+  }
+  {
+    std::fstream chunk(fs::path(dir.str()) / "trials-00000.chunk",
+                       std::ios::binary | std::ios::in | std::ios::out);
+    const auto at = static_cast<std::streamoff>(
+        2 * sizeof(store::TrialSlot) +
+        offsetof(store::TrialSlot, accuracy_bits));
+    char byte = 0;
+    chunk.seekg(at);
+    chunk.read(&byte, 1);
+    byte = static_cast<char>(~byte);
+    chunk.seekp(at);
+    chunk.write(&byte, 1);
+  }
+  EXPECT_THROW(TrialStore(dir.str(), fast_options()), InvalidArgument);
 }
 
 TEST(TrialStoreTest, CorruptControlWithNoChunksThrows) {
@@ -303,25 +400,6 @@ TEST(TrialStoreTest, CsvStoreCsvRoundTripOnFullPaperDatabase) {
   EXPECT_EQ(csv_text(store.assemble(SearchSpace::enumerate_all())),
             csv_text(db));
   EXPECT_EQ(csv_text(store.to_database()), csv_text(db));
-}
-
-TEST(TrialStoreTest, JournalImportMigratesEveryEntry) {
-  OracleEvaluator eval;
-  const Experiment exp(eval, latency::NnMeter::shared());
-  const auto configs = sample_configs(8, 29);
-  const TempDir dir("journal");
-  const std::string journal_path =
-      (fs::path(dir.str()) / "legacy.dcj").string();
-  fs::create_directories(dir.str());
-  {
-    TrialJournal journal(journal_path, /*fsync_each=*/false);
-    for (const auto& c : configs) journal.append(make_entry(exp, c));
-  }
-  const std::string store_dir = (fs::path(dir.str()) / "store").string();
-  TrialStore store(store_dir, fast_options());
-  store.import_journal(journal_path);
-  EXPECT_EQ(store.size(), configs.size());
-  EXPECT_EQ(csv_text(store.assemble(configs)), csv_text(exp.run_all(configs)));
 }
 
 }  // namespace

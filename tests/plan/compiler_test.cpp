@@ -203,6 +203,46 @@ TEST(PlanCompilerTest, RefusesToFoldBnOfMultiConsumerConv) {
   }
 }
 
+/// A conv that carries its own bias (a DCNX file may set kHasBias and keep
+/// an unfolded BN) must keep that bias through BN folding: b' = β + (b − μ)·s.
+/// Folding to β − μ·s instead shifts every output channel by b·s, in
+/// GraphExecutor::fold_batchnorm and the plan compiler alike.
+TEST(PlanCompilerTest, BnFoldingKeepsExistingConvBias) {
+  ModelGraph g;
+  const int in = g.add_input({3, 8, 8});
+  const int conv = g.add_conv(in, 4, 3, 1, 1, "conv");
+  const int bn = g.add_batchnorm(conv, "bn");
+  g.add_output(bn);
+
+  Rng rng(11);
+  std::vector<graph::NodeState> state(g.size());
+  auto& conv_st = state[static_cast<std::size_t>(conv)];
+  conv_st.conv_weight = Tensor::randn({4, 3 * 3 * 3}, rng, 0.0f, 0.5f);
+  conv_st.bias = Tensor::rand_uniform({4}, rng, 0.5f, 2.0f);
+  auto& bn_st = state[static_cast<std::size_t>(bn)];
+  bn_st.bn_gamma = Tensor::rand_uniform({4}, rng, 0.5f, 1.5f);
+  bn_st.bn_beta = Tensor::randn({4}, rng);
+  bn_st.bn_mean = Tensor::randn({4}, rng);
+  bn_st.bn_var = Tensor::rand_uniform({4}, rng, 0.1f, 2.0f);
+  auto exec = graph::GraphExecutor::from_state(
+      g, std::move(state), std::vector<bool>(g.size(), false));
+
+  const Tensor x = Tensor::rand_uniform({2, 3, 8, 8}, rng, -1.0f, 1.0f);
+  const Tensor before = exec.run(x);
+  const CompiledPlan plan = compile_plan(exec);
+  EXPECT_EQ(plan.folded_batchnorms, 1);
+  const Tensor via_plan = PlanExecutor(plan).run(x);
+  exec.fold_batchnorm();
+  ASSERT_EQ(exec.folded_batchnorms(), 1);
+  const Tensor after = exec.run(x);
+  ASSERT_TRUE(before.same_shape(after));
+  ASSERT_TRUE(before.same_shape(via_plan));
+  for (std::int64_t i = 0; i < before.numel(); ++i) {
+    EXPECT_NEAR(before[i], after[i], 1e-5) << i;
+    EXPECT_NEAR(before[i], via_plan[i], 1e-5) << i;
+  }
+}
+
 TEST(PlanCompilerTest, StepWiringIsTopological) {
   Bundle b = make_bundle(48, 24, false);
   graph::GraphExecutor exec(b.graph, *b.model);

@@ -30,9 +30,8 @@ ServerOptions options(std::size_t workers, std::int64_t max_batch, ms delay,
 }
 
 // Acceptance (a): N threads x M requests through the server produce
-// bit-identical outputs to a direct run of the executor the server serves
-// from — the compiled plan by default (the op-by-op GraphExecutor when
-// ServerOptions::use_plans is off).
+// bit-identical outputs to a direct run of the compiled plan the server
+// serves from.
 TEST(ServerTest, ConcurrentRequestsMatchDirectExecutionBitExactly) {
   auto registry = make_registry();
   const ModelSnapshot snap = registry->snapshot("m");
@@ -74,14 +73,12 @@ TEST(ServerTest, ConcurrentRequestsMatchDirectExecutionBitExactly) {
   EXPECT_EQ(server.metrics().error_count("m"), 0);
 }
 
-// The op-by-op fallback keeps the same contract: with use_plans off,
-// served outputs are bit-identical to direct GraphExecutor::run.
-TEST(ServerTest, GraphPathMatchesDirectExecutionBitExactly) {
+// GraphExecutor stays the differential reference for what the server
+// serves: every served answer agrees with the op-by-op graph run.
+TEST(ServerTest, ServedOutputsMatchGraphReference) {
   auto registry = make_registry();
   const auto exec = registry->get("m");
-  ServerOptions o = options(2, 4, ms(2));
-  o.use_plans = false;
-  Server server(registry, o);
+  Server server(registry, options(2, 4, ms(2)));
 
   Rng rng(321);
   for (int i = 0; i < 8; ++i) {
@@ -90,7 +87,7 @@ TEST(ServerTest, GraphPathMatchesDirectExecutionBitExactly) {
     const Tensor got = server.submit("m", input).get();
     ASSERT_TRUE(got.same_shape(want)) << "request " << i;
     for (std::int64_t j = 0; j < want.numel(); ++j) {
-      ASSERT_EQ(got[j], want[j]) << "request " << i << " element " << j;
+      EXPECT_NEAR(got[j], want[j], 1e-5) << "request " << i << " element " << j;
     }
   }
 }

@@ -12,7 +12,12 @@
 #   4. README.md perf claims are backed by the checked-in bench records:
 #      the kernel-performance section cites BENCH_kernels.json, and every
 #      `N.NN×` speedup quoted in README.md prefix-matches a "speedup"
-#      value in a checked-in BENCH_*.json.
+#      value in a checked-in BENCH_*.json;
+#   5. metric and span names stay in sync with OBSERVABILITY.md, both
+#      directions: every literal name passed to counter/gauge/summary/
+#      histogram("...") or to obs::Span / DCNAS_TRACE_SPAN under src/ is
+#      quoted in OBSERVABILITY.md, and every backticked name there in an
+#      emitted namespace is still a string literal somewhere under src/.
 #
 # Usage: check_docs.sh [repo-root]   (defaults to the script's parent dir)
 set -u
@@ -89,8 +94,34 @@ while read -r num; do
   fi
 done < <(grep -oE '[0-9]+\.[0-9]+×' README.md | sort -u)
 
+# --- 5. metric/span names <-> OBSERVABILITY.md, both directions ---------
+# perl slurps each file so calls split across lines still match.
+src_files=$(find src -name '*.cpp' -o -name '*.hpp')
+emitted=$(perl -0777 -ne '
+  print "$1\n" while /\b(?:counter|gauge|summary|histogram)\(\s*"([^"]+)"/g;
+  print "$1\n" while /(?:obs::Span\s*\w*|DCNAS_TRACE_SPAN)\s*\(\s*"[^"]*"\s*,\s*"([^"]+)"/g;
+' $src_files | sort -u)
+if [ -z "$emitted" ]; then
+  fail "no metric/span names extracted from src/ (pattern drift?)"
+fi
+for name in $emitted; do
+  if ! grep -qF -e "\`$name\`" -e "\"$name\"" OBSERVABILITY.md; then
+    fail "metric/span $name (src/) is not documented in OBSERVABILITY.md"
+  fi
+done
+# Reverse: backticked dotted names in an emitted namespace must still exist
+# as a string literal under src/ (labelled per-model metrics are built from
+# literals too, so they pass).
+namespaces=$(printf '%s\n' "$emitted" | cut -d. -f1 | sort -u | paste -sd'|' -)
+while read -r tok; do
+  if ! grep -rqF "\"$tok\"" src; then
+    fail "OBSERVABILITY.md documents $tok, which no code under src/ emits"
+  fi
+done < <(grep -ohE '`[a-z0-9_]+(\.[a-z0-9_]+)+`' OBSERVABILITY.md |
+         tr -d '`' | grep -E "^($namespaces)\." | sort -u)
+
 if [ "$failures" -ne 0 ]; then
   echo "check_docs: $failures problem(s) found" >&2
   exit 1
 fi
-echo "check_docs: OK (links resolve, subsystems documented, rule ids in sync, perf numbers backed by BENCH_*.json)"
+echo "check_docs: OK (links resolve, subsystems documented, rule ids in sync, perf numbers backed by BENCH_*.json, metric/span names in sync)"

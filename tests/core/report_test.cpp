@@ -87,6 +87,24 @@ TEST(ReportTest, Fig2CountsLattice) {
   EXPECT_NE(t.find("{32, 48, 64}"), std::string::npos);
 }
 
+TEST(ReportTest, Fig2TextIsPinned) {
+  EXPECT_EQ(fig2_text(),
+            "Figure 2: NAS search space for ResNet-18 adaptations\n"
+            "  input channels            {5, 7}\n"
+            "  batch size                {8, 16, 32}\n"
+            "  conv1 kernel_size         {3, 7}\n"
+            "  conv1 stride              {1, 2}\n"
+            "  conv1 padding             {1, 2, 3}\n"
+            "  pool_choice (0=pool)      {0, 1}\n"
+            "  kernel_size_pool          {2, 3}\n"
+            "  stride_pool               {1, 2}\n"
+            "  initial_output_feature    {32, 48, 64}\n"
+            "  architectures per input combination: 288 lattice points (180 "
+            "unique after no-pool collapse)\n"
+            "  full lattice: 1728 trials over 6 input combinations (paper "
+            "reports 1,717 valid outcomes)\n");
+}
+
 TEST(ReportTest, Fig3RendersThreeProjections) {
   const std::string t = fig3_text(small_sweep());
   EXPECT_NE(t.find("latency-accuracy"), std::string::npos);

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "dcnas/common/stats.hpp"
+#include "dcnas/common/strings.hpp"
 
 namespace dcnas::nas {
 namespace {
@@ -108,6 +109,29 @@ TEST(Nsga2Test, DeterministicPerSeed) {
   EXPECT_EQ(ra.unique_evaluations, rb.unique_evaluations);
   EXPECT_EQ(ra.front, rb.front);
   EXPECT_EQ(ra.hypervolume_history, rb.hypervolume_history);
+}
+
+/// FNV-1a of the evaluated lattice-key sequence. Two runs of one build
+/// agreeing (DeterministicPerSeed) cannot show a changed RNG draw order;
+/// these literal values can.
+std::uint64_t evaluated_key_hash(const Nsga2Options& opt) {
+  Nsga2 search(cheap_eval, opt);
+  const Nsga2Result result = search.run();
+  std::string keys;
+  for (const auto& r : result.evaluated.records()) {
+    keys += r.config.lattice_key() + '\n';
+  }
+  return fnv1a64(keys);
+}
+
+TEST(Nsga2Test, EvaluatedKeySequenceIsPinnedPerSetting) {
+  Nsga2Options opt = quick_options();
+  EXPECT_EQ(evaluated_key_hash(opt), 0x49bcf3f1f5bd810fULL);
+  opt.search_input_combos = false;
+  EXPECT_EQ(evaluated_key_hash(opt), 0xccd7510e12aa7326ULL);
+  opt = quick_options();
+  opt.search_precision = true;
+  EXPECT_EQ(evaluated_key_hash(opt), 0xf8dd09b277ee3a63ULL);
 }
 
 TEST(Nsga2Test, CrossoverStaysInLattice) {

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
 
     // Random baseline with the same number of unique trials.
     Rng rng(7);
-    auto lattice = nas::SearchSpace::enumerate_all();
+    auto lattice = nas::SearchSpaceSpec::paper().enumerate();
     rng.shuffle(lattice);
     lattice.resize(evo.unique_evaluations);
     const nas::TrialDatabase random_db = experiment.run_all(lattice);

@@ -12,7 +12,7 @@ namespace {
 
 std::vector<nas::TrialConfig> padding1_lattice() {
   std::vector<nas::TrialConfig> out;
-  for (const auto& c : nas::SearchSpace::enumerate_all()) {
+  for (const auto& c : nas::SearchSpaceSpec::paper().enumerate()) {
     if (c.padding == 1) out.push_back(c);
   }
   return out;
@@ -20,7 +20,7 @@ std::vector<nas::TrialConfig> padding1_lattice() {
 
 void BM_FullLatticeSweep(benchmark::State& state) {
   core::HwNasPipeline pipeline;
-  const auto configs = nas::SearchSpace::enumerate_all();
+  const auto configs = nas::SearchSpaceSpec::paper().enumerate();
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.run_sweep(configs).front_indices.size());
   }

@@ -13,15 +13,15 @@ namespace {
 
 void BM_EnumerateLattice(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nas::SearchSpace::enumerate_all().size());
+    benchmark::DoNotOptimize(nas::SearchSpaceSpec::paper().enumerate().size());
   }
   state.SetItemsProcessed(state.iterations() *
-                          nas::SearchSpace::lattice_size());
+                          nas::SearchSpaceSpec::paper().size());
 }
 BENCHMARK(BM_EnumerateLattice)->Unit(benchmark::kMicrosecond);
 
 void BM_CanonicalDedup(benchmark::State& state) {
-  const auto all = nas::SearchSpace::enumerate_all();
+  const auto all = nas::SearchSpaceSpec::paper().enumerate();
   for (auto _ : state) {
     std::set<std::string> keys;
     for (const auto& c : all) keys.insert(c.canonical_arch_key());
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     std::printf("%s", core::fig2_text().c_str());
     // Per-combination dedup accounting.
     std::set<std::string> unique;
-    for (const auto& c : nas::SearchSpace::enumerate_all()) {
+    for (const auto& c : nas::SearchSpaceSpec::paper().enumerate()) {
       unique.insert(std::to_string(c.batch) + "|" + c.canonical_arch_key());
     }
     std::printf("  unique (architecture x input combination) pairs: %zu of "

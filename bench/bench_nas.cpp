@@ -63,7 +63,7 @@ class SleepEvaluator : public nas::Evaluator {
 };
 
 std::vector<nas::TrialConfig> lattice_sample(std::size_t n) {
-  auto configs = nas::SearchSpace::enumerate_all();
+  auto configs = nas::SearchSpaceSpec::paper().enumerate();
   Rng rng(11);
   rng.shuffle(configs);
   configs.resize(std::min(n, configs.size()));
@@ -204,7 +204,7 @@ StoreResult run_store_mode(const std::string& dir) {
 
   // Append throughput: one record per paper-lattice config.
   {
-    const auto configs = nas::SearchSpace::enumerate_all();
+    const auto configs = nas::SearchSpaceSpec::paper().enumerate();
     std::vector<nas::JournalEntry> entries;
     entries.reserve(configs.size());
     for (const auto& c : configs) {

@@ -26,7 +26,7 @@ void BM_FullSweep(benchmark::State& state) {
     benchmark::DoNotOptimize(sweep.front_indices.size());
   }
   state.SetItemsProcessed(state.iterations() *
-                          nas::SearchSpace::lattice_size());
+                          nas::SearchSpaceSpec::paper().size());
   state.SetLabel("1728 trials incl. Pareto filter");
 }
 BENCHMARK(BM_FullSweep)->Unit(benchmark::kMillisecond)->Iterations(3);

@@ -139,7 +139,7 @@ std::size_t lint_plan(const graph::GraphExecutor& exec,
 /// --plan --sweep: every lattice point, deduplicated to unique models (batch
 /// never affects the plan; pool_choice=0 collapses the pool geometry axes).
 int sweep_plans() {
-  const auto all = nas::SearchSpace::enumerate_all();
+  const auto all = nas::SearchSpaceSpec::paper().enumerate();
   std::set<std::string> seen;
   std::size_t errors = 0;
   std::size_t unique = 0;

@@ -52,8 +52,10 @@ int main(int argc, char** argv) {
   nas::OracleOptions oopt;
   nas::OracleEvaluator evaluator(oopt);
   nas::Experiment experiment(evaluator, meter, {});
-  std::vector<nas::TrialConfig> configs =
-      nas::SearchSpace::enumerate_architectures(5, 8);
+  nas::SearchSpaceSpec combo = nas::SearchSpaceSpec::paper();
+  combo.channels = {5};
+  combo.batches = {8};
+  std::vector<nas::TrialConfig> configs = combo.enumerate();
   if (static_cast<std::int64_t>(configs.size()) > trials) {
     configs.resize(static_cast<std::size_t>(trials));
   }

@@ -47,7 +47,7 @@ SweepResult HwNasPipeline::run_sweep(
 }
 
 SweepResult HwNasPipeline::run_full_sweep() const {
-  return run_sweep(nas::SearchSpace::enumerate_all());
+  return run_sweep(nas::SearchSpaceSpec::paper().enumerate());
 }
 
 SweepResult HwNasPipeline::run_store_sweep(const nas::SearchSpaceSpec& spec,
@@ -85,9 +85,10 @@ SweepResult HwNasPipeline::run_store_sweep(const nas::SearchSpaceSpec& spec,
 nas::TrialDatabase HwNasPipeline::run_baselines() const {
   const nas::Experiment experiment(*evaluator_, latency::NnMeter::shared(),
                                    options_.experiment);
+  const nas::SearchSpaceSpec paper = nas::SearchSpaceSpec::paper();
   nas::TrialDatabase db;
-  for (int channels : nas::SearchSpace::channel_options()) {
-    for (int batch : nas::SearchSpace::batch_options()) {
+  for (int channels : paper.channels) {
+    for (int batch : paper.batches) {
       db.add(experiment.run_trial(nas::TrialConfig::baseline(channels, batch)));
     }
   }

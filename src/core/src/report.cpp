@@ -1,6 +1,7 @@
 #include "dcnas/core/report.hpp"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "dcnas/common/stats.hpp"
@@ -184,20 +185,27 @@ std::string fig2_text() {
     }
     os << "}\n";
   };
-  list("input channels", nas::SearchSpace::channel_options());
-  list("batch size", nas::SearchSpace::batch_options());
-  list("conv1 kernel_size", nas::SearchSpace::kernel_options());
-  list("conv1 stride", nas::SearchSpace::stride_options());
-  list("conv1 padding", nas::SearchSpace::padding_options());
-  list("pool_choice (0=pool)", nas::SearchSpace::pool_choice_options());
-  list("kernel_size_pool", nas::SearchSpace::pool_kernel_options());
-  list("stride_pool", nas::SearchSpace::pool_stride_options());
-  list("initial_output_feature", nas::SearchSpace::width_options());
-  os << "  architectures per input combination: "
-     << nas::SearchSpace::architectures_per_combo() << " lattice points ("
-     << nas::SearchSpace::unique_architectures_per_combo()
+  const nas::SearchSpaceSpec paper = nas::SearchSpaceSpec::paper();
+  list("input channels", paper.channels);
+  list("batch size", paper.batches);
+  list("conv1 kernel_size", paper.kernels);
+  list("conv1 stride", paper.strides);
+  list("conv1 padding", paper.paddings);
+  list("pool_choice (0=pool)", paper.pool_choices);
+  list("kernel_size_pool", paper.pool_kernels);
+  list("stride_pool", paper.pool_strides);
+  list("initial_output_feature", paper.widths);
+  // One input combination's architectures; the no-pool don't-cares
+  // collapse onto shared canonical keys.
+  nas::SearchSpaceSpec combo = paper;
+  combo.channels.resize(1);
+  combo.batches.resize(1);
+  std::set<std::string> unique;
+  for (const auto& c : combo.enumerate()) unique.insert(c.canonical_arch_key());
+  os << "  architectures per input combination: " << combo.size()
+     << " lattice points (" << unique.size()
      << " unique after no-pool collapse)\n";
-  os << "  full lattice: " << nas::SearchSpace::lattice_size()
+  os << "  full lattice: " << paper.size()
      << " trials over 6 input combinations (paper reports 1,717 valid "
         "outcomes)\n";
   return os.str();
@@ -228,6 +236,7 @@ std::vector<pareto::RadarRow> fig4_rows(const SweepResult& sweep) {
         hi > lo ? (static_cast<double>(value) - lo) / (hi - lo) : 0.5;
     return std::min(1.0, std::max(0.0, t));
   };
+  const nas::SearchSpaceSpec paper = nas::SearchSpaceSpec::paper();
   std::vector<pareto::RadarRow> rows;
   for (std::size_t i : sweep.front_indices) {
     const auto& r = sweep.trials.record(i);
@@ -240,20 +249,14 @@ std::vector<pareto::RadarRow> fig4_rows(const SweepResult& sweep) {
         {"accuracy", norm[i].accuracy},
         {"latency (1-norm)", 1.0 - norm[i].latency},
         {"memory (1-norm)", 1.0 - norm[i].memory},
-        {"kernel_size", norm_option(r.config.kernel_size,
-                                    nas::SearchSpace::kernel_options())},
-        {"stride",
-         norm_option(r.config.stride, nas::SearchSpace::stride_options())},
-        {"padding",
-         norm_option(r.config.padding, nas::SearchSpace::padding_options())},
+        {"kernel_size", norm_option(r.config.kernel_size, paper.kernels)},
+        {"stride", norm_option(r.config.stride, paper.strides)},
+        {"padding", norm_option(r.config.padding, paper.paddings)},
         {"kernel_size_pool",
-         norm_option(r.config.kernel_size_pool,
-                     nas::SearchSpace::pool_kernel_options())},
-        {"stride_pool", norm_option(r.config.stride_pool,
-                                    nas::SearchSpace::pool_stride_options())},
+         norm_option(r.config.kernel_size_pool, paper.pool_kernels)},
+        {"stride_pool", norm_option(r.config.stride_pool, paper.pool_strides)},
         {"initial_output_feature",
-         norm_option(r.config.initial_output_feature,
-                     nas::SearchSpace::width_options())},
+         norm_option(r.config.initial_output_feature, paper.widths)},
     };
     rows.push_back(std::move(row));
   }

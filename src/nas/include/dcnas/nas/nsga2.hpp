@@ -94,6 +94,7 @@ class Nsga2 {
   std::function<std::vector<TrialRecord>(const std::vector<TrialConfig>&)>
       batch_evaluate_;
   Nsga2Options options_;
+  SearchSpaceSpec space_;  ///< the lattice the options select
   TrialDatabase db_;
   std::map<std::string, std::size_t> cache_;  ///< lattice key -> db index
 };

@@ -20,9 +20,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "dcnas/common/rng.hpp"
 #include "dcnas/nn/resnet.hpp"
 
 namespace dcnas::nas {
@@ -103,8 +105,9 @@ struct TrialConfig {
 
 /// A concrete lattice: one option list per TrialConfig dimension. The
 /// paper's Figure 2 space and the HW-NAS-Bench-style wide lattice are both
-/// instances, so every consumer (streams, stores, schedulers) works against
-/// one description instead of hard-coded enumerations.
+/// instances, so every consumer (validation, streams, stores, schedulers,
+/// search operators) works against one description instead of hard-coded
+/// enumerations.
 ///
 /// Configurations are addressable by index: at(i) decodes a mixed-radix
 /// index (most-significant dimension first, matching the paper lattice's
@@ -115,8 +118,27 @@ struct SearchSpaceSpec {
   std::vector<int> channels, batches, kernels, strides, paddings,
       pool_choices, pool_kernels, pool_strides, widths, precisions, depths;
 
-  /// The paper's 1,728-point lattice (depth {2}, precision {0}). at()
-  /// enumerates in exactly SearchSpace::enumerate_all() order.
+  /// What a dimension varies. The enumerator order is the order search
+  /// variation (crossover, mutation) visits dimensions in: architecture
+  /// first, then the input combination, then serving precision — the order
+  /// each axis joined the search.
+  enum class Role { kArchitecture, kInput, kServing };
+
+  /// One row of the dimension table (search_space.cpp). The table's row
+  /// order is a persisted format: it is at()'s mixed-radix digit order (and
+  /// so the enumeration order), describe()'s layout (and so every store's
+  /// lattice fingerprint), and the TrialStore slot layout config[0..10].
+  struct Dimension {
+    const char* key;                             ///< describe() key
+    std::vector<int> SearchSpaceSpec::*options;  ///< option list in a spec
+    int TrialConfig::*field;                     ///< the config field
+    const char* name;                            ///< field name for errors
+    Role role;
+  };
+  static std::span<const Dimension> dimensions();
+
+  /// The paper's 1,728-point lattice (depth {2}, precision {0}), in the
+  /// historical nested-loop enumeration order.
   static SearchSpaceSpec paper();
 
   /// The widened lattice: kernels {1,3,5,7}, paddings {0..3}, widths
@@ -142,7 +164,26 @@ struct SearchSpaceSpec {
   /// Materializes the whole lattice (small specs / tests only).
   std::vector<TrialConfig> enumerate() const;
 
-  void validate() const;  ///< non-empty option lists, universe-legal values
+  /// Non-empty, duplicate-free option lists whose every value lies in the
+  /// universe (wide()); throws InvalidArgument naming the dimension.
+  void validate() const;
+
+  // ---- search operators ----------------------------------------------------
+  // Each moves only the searched dimensions (rows with more than one
+  // option) and draws from the Rng in a fixed row order — sample() in
+  // table order, crossover() and mutate() in Role order — so a seeded
+  // search replays exactly.
+
+  /// Uniform random lattice point.
+  TrialConfig sample(Rng& rng) const;
+
+  /// Uniform crossover: each searched dimension comes from \p b with
+  /// probability 1/2, otherwise from \p a.
+  TrialConfig crossover(const TrialConfig& a, const TrialConfig& b,
+                        Rng& rng) const;
+
+  /// Moves one uniformly drawn searched dimension to a different option.
+  TrialConfig mutate(const TrialConfig& parent, Rng& rng) const;
 };
 
 /// Pull-based candidate source for streamed scheduling: next() yields
@@ -152,7 +193,8 @@ class CandidateStream {
  public:
   virtual ~CandidateStream() = default;
   virtual std::optional<TrialConfig> next() = 0;
-  /// Total candidates this stream will yield (for progress accounting).
+  /// Candidate count for progress accounting, read before the first
+  /// next(): exact, or an upper bound for streams that skip points.
   virtual std::int64_t total() const = 0;
 };
 
@@ -164,6 +206,8 @@ class LatticeStream : public CandidateStream {
   explicit LatticeStream(const SearchSpaceSpec& spec, std::int64_t start = 0,
                          std::int64_t stride = 1);
   std::optional<TrialConfig> next() override;
+  /// Lattice indices left from the cursor on, geometry-skipped points
+  /// included: an upper bound on what next() still yields.
   std::int64_t total() const override;
 
  private:
@@ -189,38 +233,6 @@ class VectorStream : public CandidateStream {
  private:
   std::vector<TrialConfig> configs_;
   std::size_t next_ = 0;
-};
-
-/// Enumeration helpers over the Figure 2 space.
-class SearchSpace {
- public:
-  static const std::vector<int>& channel_options();
-  static const std::vector<int>& batch_options();
-  static const std::vector<int>& kernel_options();
-  static const std::vector<int>& stride_options();
-  static const std::vector<int>& padding_options();
-  static const std::vector<int>& pool_choice_options();
-  static const std::vector<int>& pool_kernel_options();
-  static const std::vector<int>& pool_stride_options();
-  static const std::vector<int>& width_options();
-  static const std::vector<int>& precision_options();  ///< {0, 1}
-
-  /// The 288 architecture lattice points for one (channels, batch) combo.
-  static std::vector<TrialConfig> enumerate_architectures(int channels,
-                                                          int batch);
-
-  /// All 1,728 lattice points (6 input combinations x 288).
-  static std::vector<TrialConfig> enumerate_all();
-
-  static std::int64_t lattice_size();            ///< 1728
-  static std::int64_t architectures_per_combo(); ///< 288
-
-  /// Number of distinct architectures after no-pool canonicalization
-  /// (per combo: 144 pooled + 36 unpooled = 180).
-  static std::int64_t unique_architectures_per_combo();
-
-  /// Uniformly samples one lattice point.
-  static TrialConfig sample(Rng& rng, int channels, int batch);
 };
 
 }  // namespace dcnas::nas

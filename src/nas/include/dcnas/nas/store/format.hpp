@@ -44,10 +44,10 @@ inline constexpr std::uint32_t kDefaultChunkCapacity = 4096;
 inline constexpr std::uint32_t kMaxFolds = 16;
 inline constexpr std::uint32_t kMaxDevices = 8;
 
-/// Number of config ints a slot stores (TrialConfig's fields in declaration
-/// order: channels, batch, kernel_size, stride, padding, pool_choice,
-/// kernel_size_pool, stride_pool, initial_output_feature, precision, depth;
-/// slot 11 is reserved, always 0).
+/// Number of config ints a slot stores: one per row of SearchSpaceSpec's
+/// dimension table, in table order (channels, batch, kernel_size, stride,
+/// padding, pool_choice, kernel_size_pool, stride_pool,
+/// initial_output_feature, precision, depth); slot 11 is reserved, always 0.
 inline constexpr std::uint32_t kConfigInts = 12;
 
 /// One completed fold: index + the accuracy's IEEE-754 bit pattern

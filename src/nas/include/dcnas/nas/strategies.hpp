@@ -71,7 +71,8 @@ class EvolutionStrategy : public SearchStrategy {
   bool exhausted() const override { return false; }  // anytime algorithm
   std::string name() const override { return "evolution"; }
 
-  /// Mutates exactly one randomly chosen dimension (exposed for tests).
+  /// Mutates exactly one randomly chosen architecture dimension (exposed
+  /// for tests).
   TrialConfig mutate(const TrialConfig& parent, Rng& rng) const;
 
  private:
@@ -79,7 +80,7 @@ class EvolutionStrategy : public SearchStrategy {
     TrialConfig config;
     double fitness = 0.0;
   };
-  int channels_, batch_;
+  SearchSpaceSpec space_;  ///< the paper lattice at this input combination
   Options options_;
   Rng rng_;
   std::deque<Member> population_;  // front = oldest

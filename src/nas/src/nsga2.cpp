@@ -11,20 +11,26 @@ pareto::Objectives objectives_of(const TrialRecord& r) {
   return {r.accuracy, r.latency_ms, r.memory_mb};
 }
 
-int pick_different(const std::vector<int>& options, int current, Rng& rng) {
-  int value = current;
-  while (value == current && options.size() > 1) {
-    value = options[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(options.size()) - 1))];
+/// The lattice NSGA-II searches: the paper's, at the fixed (7, 16) input
+/// combination unless input combos are searched, plus int8 when precision
+/// is.
+SearchSpaceSpec search_space(const Nsga2Options& options) {
+  SearchSpaceSpec space = SearchSpaceSpec::paper();
+  if (!options.search_input_combos) {
+    space.channels = {7};
+    space.batches = {16};
   }
-  return value;
+  if (options.search_precision) space.precisions = {0, 1};
+  return space;
 }
 
 }  // namespace
 
 Nsga2::Nsga2(std::function<TrialRecord(const TrialConfig&)> evaluate,
              const Nsga2Options& options)
-    : evaluate_(std::move(evaluate)), options_(options) {
+    : evaluate_(std::move(evaluate)),
+      options_(options),
+      space_(search_space(options)) {
   DCNAS_CHECK(static_cast<bool>(evaluate_), "NSGA-II needs an evaluator");
   DCNAS_CHECK(options_.population_size >= 4, "population too small");
   DCNAS_CHECK(options_.generations >= 1, "need at least one generation");
@@ -52,78 +58,13 @@ Nsga2::Nsga2(const Experiment& experiment, TrialScheduler& scheduler,
 
 TrialConfig Nsga2::crossover(const TrialConfig& a, const TrialConfig& b,
                              Rng& rng) const {
-  TrialConfig child = a;
-  if (rng.bernoulli(0.5)) child.kernel_size = b.kernel_size;
-  if (rng.bernoulli(0.5)) child.stride = b.stride;
-  if (rng.bernoulli(0.5)) child.padding = b.padding;
-  if (rng.bernoulli(0.5)) child.pool_choice = b.pool_choice;
-  if (rng.bernoulli(0.5)) child.kernel_size_pool = b.kernel_size_pool;
-  if (rng.bernoulli(0.5)) child.stride_pool = b.stride_pool;
-  if (rng.bernoulli(0.5))
-    child.initial_output_feature = b.initial_output_feature;
-  if (options_.search_input_combos) {
-    if (rng.bernoulli(0.5)) child.channels = b.channels;
-    if (rng.bernoulli(0.5)) child.batch = b.batch;
-  }
-  if (options_.search_precision) {
-    if (rng.bernoulli(0.5)) child.precision = b.precision;
-  }
+  TrialConfig child = space_.crossover(a, b, rng);
   child.validate();
   return child;
 }
 
 TrialConfig Nsga2::mutate(const TrialConfig& parent, Rng& rng) const {
-  TrialConfig child = parent;
-  // Dimension indices: 0-6 architecture, 7-8 input combo, 9 precision.
-  // When input combos are fixed the draw skips 7-8 so precision keeps a
-  // stable index and the RNG stream matches the fp32-only search when
-  // search_precision is off.
-  const std::int64_t dims = (options_.search_input_combos ? 9 : 7) +
-                            (options_.search_precision ? 1 : 0);
-  std::int64_t dim = rng.uniform_int(0, dims - 1);
-  if (!options_.search_input_combos && dim >= 7) dim = 9;
-  switch (dim) {
-    case 0:
-      child.kernel_size =
-          pick_different(SearchSpace::kernel_options(), parent.kernel_size, rng);
-      break;
-    case 1:
-      child.stride =
-          pick_different(SearchSpace::stride_options(), parent.stride, rng);
-      break;
-    case 2:
-      child.padding =
-          pick_different(SearchSpace::padding_options(), parent.padding, rng);
-      break;
-    case 3:
-      child.pool_choice = pick_different(SearchSpace::pool_choice_options(),
-                                         parent.pool_choice, rng);
-      break;
-    case 4:
-      child.kernel_size_pool = pick_different(
-          SearchSpace::pool_kernel_options(), parent.kernel_size_pool, rng);
-      break;
-    case 5:
-      child.stride_pool = pick_different(SearchSpace::pool_stride_options(),
-                                         parent.stride_pool, rng);
-      break;
-    case 6:
-      child.initial_output_feature = pick_different(
-          SearchSpace::width_options(), parent.initial_output_feature, rng);
-      break;
-    case 7:
-      child.channels =
-          pick_different(SearchSpace::channel_options(), parent.channels, rng);
-      break;
-    case 8:
-      child.batch =
-          pick_different(SearchSpace::batch_options(), parent.batch, rng);
-      break;
-    default:
-      child.precision = pick_different(SearchSpace::precision_options(),
-                                       parent.precision, rng);
-      break;
-  }
+  TrialConfig child = space_.mutate(parent, rng);
   child.validate();
   return child;
 }
@@ -206,19 +147,7 @@ Nsga2Result Nsga2::run() {
   // therefore walk identical RNG and database sequences.
   std::vector<TrialConfig> init_configs;
   while (init_configs.size() < options_.population_size) {
-    const int ch = options_.search_input_combos
-                       ? SearchSpace::channel_options()[static_cast<std::size_t>(
-                             rng.uniform_int(0, 1))]
-                       : 7;
-    const int batch = options_.search_input_combos
-                          ? SearchSpace::batch_options()[static_cast<std::size_t>(
-                                rng.uniform_int(0, 2))]
-                          : 16;
-    TrialConfig cfg = SearchSpace::sample(rng, ch, batch);
-    if (options_.search_precision) {
-      cfg.precision = static_cast<int>(rng.uniform_int(0, 1));
-    }
-    init_configs.push_back(cfg);
+    init_configs.push_back(space_.sample(rng));
   }
   prefetch(init_configs);
   std::vector<Individual> pop;

@@ -1,7 +1,6 @@
 #include "dcnas/nas/search_space.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "dcnas/common/error.hpp"
@@ -10,9 +9,94 @@
 namespace dcnas::nas {
 
 namespace {
-bool contains(const std::vector<int>& v, int x) {
+
+using Dimension = SearchSpaceSpec::Dimension;
+using Role = SearchSpaceSpec::Role;
+
+/// The lattice's dimensions, in persisted order (see Dimension).
+constexpr Dimension kDimensions[] = {
+    {"ch", &SearchSpaceSpec::channels, &TrialConfig::channels, "channels",
+     Role::kInput},
+    {"b", &SearchSpaceSpec::batches, &TrialConfig::batch, "batch",
+     Role::kInput},
+    {"k", &SearchSpaceSpec::kernels, &TrialConfig::kernel_size, "kernel_size",
+     Role::kArchitecture},
+    {"s", &SearchSpaceSpec::strides, &TrialConfig::stride, "stride",
+     Role::kArchitecture},
+    {"p", &SearchSpaceSpec::paddings, &TrialConfig::padding, "padding",
+     Role::kArchitecture},
+    {"pc", &SearchSpaceSpec::pool_choices, &TrialConfig::pool_choice,
+     "pool_choice", Role::kArchitecture},
+    {"pk", &SearchSpaceSpec::pool_kernels, &TrialConfig::kernel_size_pool,
+     "kernel_size_pool", Role::kArchitecture},
+    {"ps", &SearchSpaceSpec::pool_strides, &TrialConfig::stride_pool,
+     "stride_pool", Role::kArchitecture},
+    {"w", &SearchSpaceSpec::widths, &TrialConfig::initial_output_feature,
+     "initial_output_feature", Role::kArchitecture},
+    {"q", &SearchSpaceSpec::precisions, &TrialConfig::precision, "precision",
+     Role::kServing},
+    {"d", &SearchSpaceSpec::depths, &TrialConfig::depth, "depth",
+     Role::kArchitecture},
+};
+
+bool has(const std::vector<int>& v, int x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
+
+/// Throws naming the first dimension of \p config outside \p space.
+void check_member(const SearchSpaceSpec& space, const TrialConfig& config,
+                  const char* space_name) {
+  for (const Dimension& d : kDimensions) {
+    DCNAS_CHECK(has(space.*d.options, config.*d.field),
+                std::string(d.name) + " outside " + space_name);
+  }
+}
+
+/// The paper lattice with both serving precisions: what validate() admits.
+const SearchSpaceSpec& paper_space() {
+  static const SearchSpaceSpec space = [] {
+    SearchSpaceSpec s = SearchSpaceSpec::paper();
+    s.precisions = {0, 1};
+    return s;
+  }();
+  return space;
+}
+
+/// The widest lattice any spec may span: what validate_universe() admits.
+const SearchSpaceSpec& universe() {
+  static const SearchSpaceSpec space = SearchSpaceSpec::wide();
+  return space;
+}
+
+int pick(const std::vector<int>& options, Rng& rng) {
+  return options[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(options.size()) - 1))];
+}
+
+int pick_different(const std::vector<int>& options, int current, Rng& rng) {
+  int value = current;
+  while (value == current && options.size() > 1) value = pick(options, rng);
+  return value;
+}
+
+/// A spec's searched rows (more than one option) sorted by Role, stable
+/// within a role: the order crossover and mutation draw in.
+class VariationOrder {
+ public:
+  explicit VariationOrder(const SearchSpaceSpec& space) {
+    for (Role role : {Role::kArchitecture, Role::kInput, Role::kServing}) {
+      for (const Dimension& d : kDimensions) {
+        if (d.role == role && (space.*d.options).size() > 1) rows_[n_++] = &d;
+      }
+    }
+  }
+  std::span<const Dimension* const> rows() const { return {rows_, n_}; }
+
+ private:
+  const Dimension* rows_[std::size(kDimensions)] = {};
+  std::size_t n_ = 0;
+};
+
 }  // namespace
 
 nn::ResNetConfig TrialConfig::to_resnet_config() const {
@@ -40,46 +124,11 @@ TrialConfig TrialConfig::baseline(int channels, int batch) {
 }
 
 void TrialConfig::validate() const {
-  DCNAS_CHECK(contains(SearchSpace::channel_options(), channels),
-              "channels outside search space");
-  DCNAS_CHECK(contains(SearchSpace::batch_options(), batch),
-              "batch outside search space");
-  DCNAS_CHECK(contains(SearchSpace::kernel_options(), kernel_size),
-              "kernel_size outside search space");
-  DCNAS_CHECK(contains(SearchSpace::stride_options(), stride),
-              "stride outside search space");
-  DCNAS_CHECK(contains(SearchSpace::padding_options(), padding),
-              "padding outside search space");
-  DCNAS_CHECK(contains(SearchSpace::pool_choice_options(), pool_choice),
-              "pool_choice outside search space");
-  DCNAS_CHECK(contains(SearchSpace::pool_kernel_options(), kernel_size_pool),
-              "kernel_size_pool outside search space");
-  DCNAS_CHECK(contains(SearchSpace::pool_stride_options(), stride_pool),
-              "stride_pool outside search space");
-  DCNAS_CHECK(contains(SearchSpace::width_options(), initial_output_feature),
-              "initial_output_feature outside search space");
-  DCNAS_CHECK(contains(SearchSpace::precision_options(), precision),
-              "precision outside search space");
-  DCNAS_CHECK(depth == 2, "depth outside the paper search space");
+  check_member(paper_space(), *this, "search space");
 }
 
 void TrialConfig::validate_universe() const {
-  const SearchSpaceSpec u = SearchSpaceSpec::wide();
-  DCNAS_CHECK(contains(u.channels, channels), "channels outside universe");
-  DCNAS_CHECK(contains(u.batches, batch), "batch outside universe");
-  DCNAS_CHECK(contains(u.kernels, kernel_size), "kernel_size outside universe");
-  DCNAS_CHECK(contains(u.strides, stride), "stride outside universe");
-  DCNAS_CHECK(contains(u.paddings, padding), "padding outside universe");
-  DCNAS_CHECK(contains(u.pool_choices, pool_choice),
-              "pool_choice outside universe");
-  DCNAS_CHECK(contains(u.pool_kernels, kernel_size_pool),
-              "kernel_size_pool outside universe");
-  DCNAS_CHECK(contains(u.pool_strides, stride_pool),
-              "stride_pool outside universe");
-  DCNAS_CHECK(contains(u.widths, initial_output_feature),
-              "initial_output_feature outside universe");
-  DCNAS_CHECK(contains(u.precisions, precision), "precision outside universe");
-  DCNAS_CHECK(contains(u.depths, depth), "depth outside universe");
+  check_member(universe(), *this, "universe");
 }
 
 std::string TrialConfig::canonical_arch_key() const {
@@ -130,127 +179,21 @@ std::string TrialConfig::to_string() const {
   return os.str();
 }
 
-const std::vector<int>& SearchSpace::channel_options() {
-  static const std::vector<int> v = {5, 7};
-  return v;
-}
-const std::vector<int>& SearchSpace::batch_options() {
-  static const std::vector<int> v = {8, 16, 32};
-  return v;
-}
-const std::vector<int>& SearchSpace::kernel_options() {
-  static const std::vector<int> v = {3, 7};
-  return v;
-}
-const std::vector<int>& SearchSpace::stride_options() {
-  static const std::vector<int> v = {1, 2};
-  return v;
-}
-const std::vector<int>& SearchSpace::padding_options() {
-  static const std::vector<int> v = {1, 2, 3};
-  return v;
-}
-const std::vector<int>& SearchSpace::pool_choice_options() {
-  static const std::vector<int> v = {0, 1};
-  return v;
-}
-const std::vector<int>& SearchSpace::pool_kernel_options() {
-  static const std::vector<int> v = {2, 3};
-  return v;
-}
-const std::vector<int>& SearchSpace::pool_stride_options() {
-  static const std::vector<int> v = {1, 2};
-  return v;
-}
-const std::vector<int>& SearchSpace::width_options() {
-  static const std::vector<int> v = {32, 48, 64};
-  return v;
-}
-const std::vector<int>& SearchSpace::precision_options() {
-  static const std::vector<int> v = {0, 1};
-  return v;
-}
-
-std::vector<TrialConfig> SearchSpace::enumerate_architectures(int channels,
-                                                              int batch) {
-  std::vector<TrialConfig> out;
-  out.reserve(static_cast<std::size_t>(architectures_per_combo()));
-  for (int k : kernel_options()) {
-    for (int s : stride_options()) {
-      for (int p : padding_options()) {
-        for (int pc : pool_choice_options()) {
-          for (int pk : pool_kernel_options()) {
-            for (int ps : pool_stride_options()) {
-              for (int w : width_options()) {
-                TrialConfig c;
-                c.channels = channels;
-                c.batch = batch;
-                c.kernel_size = k;
-                c.stride = s;
-                c.padding = p;
-                c.pool_choice = pc;
-                c.kernel_size_pool = pk;
-                c.stride_pool = ps;
-                c.initial_output_feature = w;
-                c.validate();
-                out.push_back(c);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  DCNAS_ASSERT(static_cast<std::int64_t>(out.size()) ==
-                   architectures_per_combo(),
-               "architecture enumeration count mismatch");
-  return out;
-}
-
-std::vector<TrialConfig> SearchSpace::enumerate_all() {
-  std::vector<TrialConfig> out;
-  out.reserve(static_cast<std::size_t>(lattice_size()));
-  for (int ch : channel_options()) {
-    for (int b : batch_options()) {
-      const auto combo = enumerate_architectures(ch, b);
-      out.insert(out.end(), combo.begin(), combo.end());
-    }
-  }
-  return out;
-}
-
-std::int64_t SearchSpace::architectures_per_combo() {
-  return static_cast<std::int64_t>(
-      kernel_options().size() * stride_options().size() *
-      padding_options().size() * pool_choice_options().size() *
-      pool_kernel_options().size() * pool_stride_options().size() *
-      width_options().size());
-}
-
-std::int64_t SearchSpace::lattice_size() {
-  return architectures_per_combo() *
-         static_cast<std::int64_t>(channel_options().size() *
-                                   batch_options().size());
-}
-
-std::int64_t SearchSpace::unique_architectures_per_combo() {
-  const auto combo = enumerate_architectures(5, 8);
-  std::set<std::string> keys;
-  for (const auto& c : combo) keys.insert(c.canonical_arch_key());
-  return static_cast<std::int64_t>(keys.size());
+std::span<const Dimension> SearchSpaceSpec::dimensions() {
+  return kDimensions;
 }
 
 SearchSpaceSpec SearchSpaceSpec::paper() {
   SearchSpaceSpec s;
-  s.channels = SearchSpace::channel_options();
-  s.batches = SearchSpace::batch_options();
-  s.kernels = SearchSpace::kernel_options();
-  s.strides = SearchSpace::stride_options();
-  s.paddings = SearchSpace::padding_options();
-  s.pool_choices = SearchSpace::pool_choice_options();
-  s.pool_kernels = SearchSpace::pool_kernel_options();
-  s.pool_strides = SearchSpace::pool_stride_options();
-  s.widths = SearchSpace::width_options();
+  s.channels = {5, 7};
+  s.batches = {8, 16, 32};
+  s.kernels = {3, 7};
+  s.strides = {1, 2};
+  s.paddings = {1, 2, 3};
+  s.pool_choices = {0, 1};
+  s.pool_kernels = {2, 3};
+  s.pool_strides = {1, 2};
+  s.widths = {32, 48, 64};
   s.precisions = {0};
   s.depths = {2};
   return s;
@@ -274,10 +217,8 @@ SearchSpaceSpec SearchSpaceSpec::wide() {
 
 std::int64_t SearchSpaceSpec::size() const {
   std::int64_t n = 1;
-  for (const auto* dim :
-       {&channels, &batches, &kernels, &strides, &paddings, &pool_choices,
-        &pool_kernels, &pool_strides, &widths, &precisions, &depths}) {
-    n *= static_cast<std::int64_t>(dim->size());
+  for (const Dimension& d : kDimensions) {
+    n *= static_cast<std::int64_t>((this->*d.options).size());
   }
   return n;
 }
@@ -285,53 +226,31 @@ std::int64_t SearchSpaceSpec::size() const {
 TrialConfig SearchSpaceSpec::at(std::int64_t i) const {
   DCNAS_CHECK(i >= 0 && i < size(), "lattice index out of range");
   TrialConfig c;
-  // Mixed-radix decode, least-significant dimension last — the same nesting
-  // order as SearchSpace::enumerate_all, so paper().at(i) reproduces the
-  // historical enumeration exactly.
-  int* fields[] = {&c.channels,        &c.batch,
-                   &c.kernel_size,     &c.stride,
-                   &c.padding,         &c.pool_choice,
-                   &c.kernel_size_pool, &c.stride_pool,
-                   &c.initial_output_feature, &c.precision, &c.depth};
-  const std::vector<int>* dims[] = {
-      &channels,     &batches,      &kernels, &strides,    &paddings,
-      &pool_choices, &pool_kernels, &pool_strides, &widths, &precisions,
-      &depths};
-  for (int d = 10; d >= 0; --d) {
-    const auto radix = static_cast<std::int64_t>(dims[d]->size());
-    *fields[d] = (*dims[d])[static_cast<std::size_t>(i % radix)];
+  // Mixed-radix decode, least-significant dimension last.
+  for (auto d = std::rbegin(kDimensions); d != std::rend(kDimensions); ++d) {
+    const std::vector<int>& options = this->*d->options;
+    const auto radix = static_cast<std::int64_t>(options.size());
+    c.*d->field = options[static_cast<std::size_t>(i % radix)];
     i /= radix;
   }
   return c;
 }
 
 bool SearchSpaceSpec::contains(const TrialConfig& c) const {
-  const auto in = [](const std::vector<int>& v, int x) {
-    return std::find(v.begin(), v.end(), x) != v.end();
-  };
-  return in(channels, c.channels) && in(batches, c.batch) &&
-         in(kernels, c.kernel_size) && in(strides, c.stride) &&
-         in(paddings, c.padding) && in(pool_choices, c.pool_choice) &&
-         in(pool_kernels, c.kernel_size_pool) &&
-         in(pool_strides, c.stride_pool) &&
-         in(widths, c.initial_output_feature) &&
-         in(precisions, c.precision) && in(depths, c.depth);
+  return std::all_of(
+      std::begin(kDimensions), std::end(kDimensions),
+      [&](const Dimension& d) { return has(this->*d.options, c.*d.field); });
 }
 
 std::string SearchSpaceSpec::describe() const {
   std::ostringstream os;
   os << "dcnas-lattice v1";
-  const char* names[] = {"ch", "b",  "k", "s", "p", "pc",
-                         "pk", "ps", "w", "q", "d"};
-  const std::vector<int>* dims[] = {
-      &channels,     &batches,      &kernels, &strides,    &paddings,
-      &pool_choices, &pool_kernels, &pool_strides, &widths, &precisions,
-      &depths};
-  for (int d = 0; d < 11; ++d) {
-    os << ';' << names[d] << '=';
-    for (std::size_t j = 0; j < dims[d]->size(); ++j) {
+  for (const Dimension& d : kDimensions) {
+    const std::vector<int>& options = this->*d.options;
+    os << ';' << d.key << '=';
+    for (std::size_t j = 0; j < options.size(); ++j) {
       if (j) os << ',';
-      os << (*dims[d])[j];
+      os << options[j];
     }
   }
   os << ";n=" << size();
@@ -355,15 +274,47 @@ std::vector<TrialConfig> SearchSpaceSpec::enumerate() const {
 }
 
 void SearchSpaceSpec::validate() const {
-  for (const auto* dim :
-       {&channels, &batches, &kernels, &strides, &paddings, &pool_choices,
-        &pool_kernels, &pool_strides, &widths, &precisions, &depths}) {
-    DCNAS_CHECK(!dim->empty(), "search space dimension has no options");
+  for (const Dimension& d : kDimensions) {
+    const std::vector<int>& options = this->*d.options;
+    DCNAS_CHECK(!options.empty(),
+                std::string(d.name) + " dimension has no options");
+    for (auto it = options.begin(); it != options.end(); ++it) {
+      DCNAS_CHECK(has(universe().*d.options, *it),
+                  std::string(d.name) + " outside universe");
+      DCNAS_CHECK(std::find(options.begin(), it, *it) == it,
+                  std::string(d.name) + " lists an option twice");
+    }
   }
-  // Every lattice corner must be universe-legal; checking the per-dimension
-  // extremes is equivalent because validate_universe is per-field.
-  at(0).validate_universe();
-  at(size() - 1).validate_universe();
+}
+
+TrialConfig SearchSpaceSpec::sample(Rng& rng) const {
+  TrialConfig c;
+  for (const Dimension& d : kDimensions) {
+    const std::vector<int>& options = this->*d.options;
+    c.*d.field = options.size() > 1 ? pick(options, rng) : options.front();
+  }
+  return c;
+}
+
+TrialConfig SearchSpaceSpec::crossover(const TrialConfig& a,
+                                       const TrialConfig& b, Rng& rng) const {
+  const VariationOrder order(*this);
+  TrialConfig child = a;
+  for (const Dimension* d : order.rows()) {
+    if (rng.bernoulli(0.5)) child.*d->field = b.*d->field;
+  }
+  return child;
+}
+
+TrialConfig SearchSpaceSpec::mutate(const TrialConfig& parent, Rng& rng) const {
+  const VariationOrder order(*this);
+  const auto rows = order.rows();
+  DCNAS_CHECK(!rows.empty(), "mutation needs a dimension with two options");
+  const Dimension& d = *rows[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(rows.size()) - 1))];
+  TrialConfig child = parent;
+  child.*d.field = pick_different(this->*d.options, parent.*d.field, rng);
+  return child;
 }
 
 LatticeStream::LatticeStream(const SearchSpaceSpec& spec, std::int64_t start,
@@ -393,24 +344,6 @@ std::int64_t LatticeStream::total() const {
       next_index_;  // call before consuming for the full count
   if (start >= size_) return 0;
   return (size_ - start + stride_ - 1) / stride_;
-}
-
-TrialConfig SearchSpace::sample(Rng& rng, int channels, int batch) {
-  auto pick = [&rng](const std::vector<int>& v) {
-    return v[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
-  };
-  TrialConfig c;
-  c.channels = channels;
-  c.batch = batch;
-  c.kernel_size = pick(kernel_options());
-  c.stride = pick(stride_options());
-  c.padding = pick(padding_options());
-  c.pool_choice = pick(pool_choice_options());
-  c.kernel_size_pool = pick(pool_kernel_options());
-  c.stride_pool = pick(pool_stride_options());
-  c.initial_output_feature = pick(width_options());
-  return c;
 }
 
 }  // namespace dcnas::nas

@@ -402,17 +402,11 @@ store::TrialSlot TrialStore::encode_slot(const JournalEntry& entry,
   slot.status = entry.status == TrialStatus::kOk ? store::kStatusOk
                                                  : store::kStatusPruned;
   const TrialConfig& c = r.config;
-  slot.config[0] = c.channels;
-  slot.config[1] = c.batch;
-  slot.config[2] = c.kernel_size;
-  slot.config[3] = c.stride;
-  slot.config[4] = c.padding;
-  slot.config[5] = c.pool_choice;
-  slot.config[6] = c.kernel_size_pool;
-  slot.config[7] = c.stride_pool;
-  slot.config[8] = c.initial_output_feature;
-  slot.config[9] = c.precision;
-  slot.config[10] = c.depth;
+  const auto dims = SearchSpaceSpec::dimensions();
+  DCNAS_ASSERT(dims.size() < store::kConfigInts,
+               "slot config ints cannot hold every lattice dimension");
+  std::int32_t* config_int = slot.config;
+  for (const auto& dim : dims) *config_int++ = c.*dim.field;
   slot.accuracy_bits = double_bits(r.accuracy);
   slot.latency_bits = double_bits(r.latency_ms);
   slot.lat_std_bits = double_bits(r.lat_std);
@@ -443,17 +437,10 @@ JournalEntry TrialStore::decode_slot(const TrialSlot& slot) const {
   entry.status = status_from_disk(slot.status);
   TrialRecord& r = entry.record;
   TrialConfig& c = r.config;
-  c.channels = slot.config[0];
-  c.batch = slot.config[1];
-  c.kernel_size = slot.config[2];
-  c.stride = slot.config[3];
-  c.padding = slot.config[4];
-  c.pool_choice = slot.config[5];
-  c.kernel_size_pool = slot.config[6];
-  c.stride_pool = slot.config[7];
-  c.initial_output_feature = slot.config[8];
-  c.precision = slot.config[9];
-  c.depth = slot.config[10];
+  const std::int32_t* config_int = slot.config;
+  for (const auto& dim : SearchSpaceSpec::dimensions()) {
+    c.*dim.field = *config_int++;
+  }
   c.validate_universe();
   DCNAS_CHECK(read_pool(slot.key_off, slot.key_len) == c.lattice_key(),
               "store record key does not match its config");

@@ -6,8 +6,22 @@
 
 namespace dcnas::nas {
 
+namespace {
+
+/// The paper lattice narrowed to one input combination: its 288
+/// architectures, in lattice order.
+SearchSpaceSpec combo_space(int channels, int batch) {
+  TrialConfig::baseline(channels, batch);  // rejects an off-paper combination
+  SearchSpaceSpec space = SearchSpaceSpec::paper();
+  space.channels = {channels};
+  space.batches = {batch};
+  return space;
+}
+
+}  // namespace
+
 GridStrategy::GridStrategy(int channels, int batch)
-    : lattice_(SearchSpace::enumerate_architectures(channels, batch)) {}
+    : lattice_(combo_space(channels, batch).enumerate()) {}
 
 TrialConfig GridStrategy::ask() {
   DCNAS_CHECK(!exhausted(), "grid strategy exhausted");
@@ -15,7 +29,7 @@ TrialConfig GridStrategy::ask() {
 }
 
 RandomStrategy::RandomStrategy(int channels, int batch, std::uint64_t seed)
-    : lattice_(SearchSpace::enumerate_architectures(channels, batch)) {
+    : lattice_(combo_space(channels, batch).enumerate()) {
   Rng rng(seed);
   rng.shuffle(lattice_);
 }
@@ -27,7 +41,9 @@ TrialConfig RandomStrategy::ask() {
 
 EvolutionStrategy::EvolutionStrategy(int channels, int batch,
                                      const Options& options)
-    : channels_(channels), batch_(batch), options_(options), rng_(options.seed) {
+    : space_(combo_space(channels, batch)),
+      options_(options),
+      rng_(options.seed) {
   DCNAS_CHECK(options_.population_size >= 2, "population too small");
   DCNAS_CHECK(options_.tournament_size >= 1 &&
                   options_.tournament_size <= options_.population_size,
@@ -36,55 +52,14 @@ EvolutionStrategy::EvolutionStrategy(int channels, int batch,
 
 TrialConfig EvolutionStrategy::mutate(const TrialConfig& parent,
                                       Rng& rng) const {
-  TrialConfig child = parent;
-  // Pick one of the seven architecture dimensions and move it to a
-  // different value (input combination stays fixed, as in the paper).
-  auto pick_different = [&rng](const std::vector<int>& options, int current) {
-    int value = current;
-    while (value == current && options.size() > 1) {
-      value = options[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(options.size()) - 1))];
-    }
-    return value;
-  };
-  switch (rng.uniform_int(0, 6)) {
-    case 0:
-      child.kernel_size =
-          pick_different(SearchSpace::kernel_options(), parent.kernel_size);
-      break;
-    case 1:
-      child.stride =
-          pick_different(SearchSpace::stride_options(), parent.stride);
-      break;
-    case 2:
-      child.padding =
-          pick_different(SearchSpace::padding_options(), parent.padding);
-      break;
-    case 3:
-      child.pool_choice = pick_different(SearchSpace::pool_choice_options(),
-                                         parent.pool_choice);
-      break;
-    case 4:
-      child.kernel_size_pool = pick_different(
-          SearchSpace::pool_kernel_options(), parent.kernel_size_pool);
-      break;
-    case 5:
-      child.stride_pool = pick_different(SearchSpace::pool_stride_options(),
-                                         parent.stride_pool);
-      break;
-    default:
-      child.initial_output_feature =
-          pick_different(SearchSpace::width_options(),
-                         parent.initial_output_feature);
-      break;
-  }
+  TrialConfig child = space_.mutate(parent, rng);
   child.validate();
   return child;
 }
 
 TrialConfig EvolutionStrategy::ask() {
   if (population_.size() < options_.population_size) {
-    return SearchSpace::sample(rng_, channels_, batch_);  // warm-up
+    return space_.sample(rng_);  // warm-up
   }
   // Tournament selection over random members.
   const Member* best = nullptr;

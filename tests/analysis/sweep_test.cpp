@@ -14,9 +14,9 @@ namespace {
 /// architecture here starts failing.
 TEST(SearchSpaceSweepTest, AllLatticePointsVerifyClean) {
   const GraphVerifier verifier = GraphVerifier::standard();
-  const auto all = nas::SearchSpace::enumerate_all();
+  const auto all = nas::SearchSpaceSpec::paper().enumerate();
   ASSERT_EQ(static_cast<std::int64_t>(all.size()),
-            nas::SearchSpace::lattice_size());
+            nas::SearchSpaceSpec::paper().size());
   for (const nas::TrialConfig& config : all) {
     const graph::ModelGraph g =
         graph::build_resnet_graph(config.to_resnet_config());

@@ -131,7 +131,7 @@ TEST_F(PipelineTest, StrictAllFrontExplodesOnMemoryTies) {
 TEST_F(PipelineTest, SweepIsDeterministic) {
   HwNasPipeline pipe2;
   // Re-running a small subset reproduces identical records.
-  const auto all = nas::SearchSpace::enumerate_all();
+  const auto all = nas::SearchSpaceSpec::paper().enumerate();
   const std::vector<nas::TrialConfig> subset(all.begin(), all.begin() + 20);
   const SweepResult again = pipe2.run_sweep(subset);
   for (std::size_t i = 0; i < again.trials.size(); ++i) {

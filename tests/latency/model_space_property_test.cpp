@@ -25,7 +25,10 @@ struct SpaceData {
 const SpaceData& space_data() {
   static const SpaceData data = [] {
     SpaceData d;
-    d.configs = nas::SearchSpace::enumerate_architectures(7, 16);
+    nas::SearchSpaceSpec combo = nas::SearchSpaceSpec::paper();
+    combo.channels = {7};
+    combo.batches = {16};
+    d.configs = combo.enumerate();
     const NnMeter& meter = NnMeter::shared();
     for (const auto& cfg : d.configs) {
       const auto g = graph::build_resnet_graph(cfg.to_resnet_config());

@@ -95,9 +95,12 @@ TEST(OracleTest, NoiseMagnitudesMatchOptions) {
   const AccuracyOracle oracle(opt);
   // Fold spread within one trial ~ fold sigma.
   std::vector<double> all_fold_stds;
+  SearchSpaceSpec space = SearchSpaceSpec::paper();
+  space.channels = {5};
+  space.batches = {16};
   Rng rng(3);
   for (int t = 0; t < 200; ++t) {
-    const TrialConfig cfg = SearchSpace::sample(rng, 5, 16);
+    const TrialConfig cfg = space.sample(rng);
     all_fold_stds.push_back(sample_stddev(oracle.fold_accuracies(cfg)));
   }
   const double typical = mean(all_fold_stds);
@@ -119,7 +122,7 @@ TEST(OracleTest, DuplicateNoPoolLatticePointsGetDistinctDraws) {
 
 TEST(OracleTest, AccuraciesStayInValidRange) {
   const AccuracyOracle oracle{OracleOptions{}};
-  for (const auto& cfg : SearchSpace::enumerate_all()) {
+  for (const auto& cfg : SearchSpaceSpec::paper().enumerate()) {
     for (int f = 0; f < 5; ++f) {
       const double acc = oracle.fold_accuracy(cfg, f);
       ASSERT_GE(acc, 50.0);

@@ -35,9 +35,12 @@ TEST(PrecisionAxisTest, ConfigValidatesAndKeysDistinguishPrecision) {
 
 TEST(PrecisionAxisTest, OracleDropIsDeterministicAndWithinOnePercent) {
   const AccuracyOracle oracle{OracleOptions{}};
+  SearchSpaceSpec space = SearchSpaceSpec::paper();
+  space.channels = {7};
+  space.batches = {16};
   Rng rng(11);
   for (int i = 0; i < 50; ++i) {
-    const TrialConfig fp32 = SearchSpace::sample(rng, 7, 16);
+    const TrialConfig fp32 = space.sample(rng);
     const TrialConfig int8 = int8_twin(fp32);
     EXPECT_EQ(oracle.quantization_drop(fp32), 0.0);
     const double drop = oracle.quantization_drop(int8);

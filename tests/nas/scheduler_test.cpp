@@ -19,7 +19,7 @@ namespace dcnas::nas {
 namespace {
 
 std::vector<TrialConfig> sample_configs(std::size_t n, std::uint64_t seed) {
-  auto configs = SearchSpace::enumerate_all();
+  auto configs = SearchSpaceSpec::paper().enumerate();
   Rng rng(seed);
   rng.shuffle(configs);
   configs.resize(n);

@@ -7,34 +7,52 @@
 namespace dcnas::nas {
 namespace {
 
+/// The paper lattice at one input combination.
+SearchSpaceSpec combo(int channels, int batch) {
+  SearchSpaceSpec space = SearchSpaceSpec::paper();
+  space.channels = {channels};
+  space.batches = {batch};
+  return space;
+}
+
 TEST(SearchSpaceTest, LatticeSizesMatchPaper) {
   // Figure 2: 288 configurations per input combination; 6 combinations.
-  EXPECT_EQ(SearchSpace::architectures_per_combo(), 288);
-  EXPECT_EQ(SearchSpace::lattice_size(), 1728);
-  EXPECT_EQ(SearchSpace::enumerate_all().size(), 1728u);
-  EXPECT_EQ(SearchSpace::enumerate_architectures(5, 8).size(), 288u);
+  EXPECT_EQ(combo(5, 8).size(), 288);
+  EXPECT_EQ(SearchSpaceSpec::paper().size(), 1728);
+  EXPECT_EQ(SearchSpaceSpec::paper().enumerate().size(), 1728u);
+  EXPECT_EQ(combo(5, 8).enumerate().size(), 288u);
 }
 
 TEST(SearchSpaceTest, NoPoolCollapseYields180UniqueArchitectures) {
   // 144 pooled + 36 unpooled per combination (§3.2's "certain
   // configurations may coincide due to the 'no pool' option").
-  EXPECT_EQ(SearchSpace::unique_architectures_per_combo(), 180);
+  std::set<std::string> keys;
+  for (const auto& c : combo(5, 8).enumerate()) {
+    keys.insert(c.canonical_arch_key());
+  }
+  EXPECT_EQ(keys.size(), 180u);
 }
 
 TEST(SearchSpaceTest, EnumerationHasNoDuplicateLatticePoints) {
   std::set<std::string> keys;
-  for (const auto& c : SearchSpace::enumerate_all()) {
+  for (const auto& c : SearchSpaceSpec::paper().enumerate()) {
     EXPECT_TRUE(keys.insert(c.lattice_key()).second) << c.to_string();
   }
 }
 
 TEST(SearchSpaceTest, OptionSetsMatchFigure2) {
-  EXPECT_EQ(SearchSpace::channel_options(), (std::vector<int>{5, 7}));
-  EXPECT_EQ(SearchSpace::batch_options(), (std::vector<int>{8, 16, 32}));
-  EXPECT_EQ(SearchSpace::kernel_options(), (std::vector<int>{3, 7}));
-  EXPECT_EQ(SearchSpace::stride_options(), (std::vector<int>{1, 2}));
-  EXPECT_EQ(SearchSpace::padding_options(), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(SearchSpace::width_options(), (std::vector<int>{32, 48, 64}));
+  const SearchSpaceSpec paper = SearchSpaceSpec::paper();
+  EXPECT_EQ(paper.channels, (std::vector<int>{5, 7}));
+  EXPECT_EQ(paper.batches, (std::vector<int>{8, 16, 32}));
+  EXPECT_EQ(paper.kernels, (std::vector<int>{3, 7}));
+  EXPECT_EQ(paper.strides, (std::vector<int>{1, 2}));
+  EXPECT_EQ(paper.paddings, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(paper.pool_choices, (std::vector<int>{0, 1}));
+  EXPECT_EQ(paper.pool_kernels, (std::vector<int>{2, 3}));
+  EXPECT_EQ(paper.pool_strides, (std::vector<int>{1, 2}));
+  EXPECT_EQ(paper.widths, (std::vector<int>{32, 48, 64}));
+  EXPECT_EQ(paper.precisions, (std::vector<int>{0}));
+  EXPECT_EQ(paper.depths, (std::vector<int>{2}));
 }
 
 TEST(TrialConfigTest, BaselineIsStockResNet18) {
@@ -110,15 +128,17 @@ TEST(TrialConfigTest, ValidateRejectsOutOfSpace) {
 
 TEST(TrialConfigTest, EncodeIsInjectiveOverLattice) {
   std::set<std::uint64_t> codes;
-  for (const auto& c : SearchSpace::enumerate_all()) {
+  for (const auto& c : SearchSpaceSpec::paper().enumerate()) {
     EXPECT_TRUE(codes.insert(c.encode()).second);
   }
 }
 
 TEST(SearchSpaceTest, SampleStaysInSpace) {
+  const SearchSpaceSpec space = combo(7, 16);
   Rng rng(4);
   for (int i = 0; i < 200; ++i) {
-    const TrialConfig c = SearchSpace::sample(rng, 7, 16);
+    const TrialConfig c = space.sample(rng);
+    EXPECT_TRUE(space.contains(c)) << c.to_string();
     EXPECT_NO_THROW(c.validate());
     EXPECT_EQ(c.channels, 7);
     EXPECT_EQ(c.batch, 16);

@@ -37,7 +37,7 @@ class TempDir {
 };
 
 std::vector<TrialConfig> sample_configs(std::size_t n, std::uint64_t seed) {
-  auto configs = SearchSpace::enumerate_all();
+  auto configs = SearchSpaceSpec::paper().enumerate();
   Rng rng(seed);
   rng.shuffle(configs);
   configs.resize(n);
@@ -389,7 +389,7 @@ TEST(TrialStoreTest, RefreshSeesOtherHandlesCommits) {
 TEST(TrialStoreTest, CsvStoreCsvRoundTripOnFullPaperDatabase) {
   OracleEvaluator eval;
   const Experiment exp(eval, latency::NnMeter::shared());
-  const TrialDatabase db = exp.run_all(SearchSpace::enumerate_all());
+  const TrialDatabase db = exp.run_all(SearchSpaceSpec::paper().enumerate());
   ASSERT_EQ(db.size(), 1728u);
   const TempDir dir("csvtrip");
   TrialStore store(dir.str(), fast_options());
@@ -397,7 +397,7 @@ TEST(TrialStoreTest, CsvStoreCsvRoundTripOnFullPaperDatabase) {
   EXPECT_EQ(store.size(), db.size());
   // CSV -> store -> CSV is the identity, byte for byte: every double
   // travels as its IEEE-754 bit pattern.
-  EXPECT_EQ(csv_text(store.assemble(SearchSpace::enumerate_all())),
+  EXPECT_EQ(csv_text(store.assemble(SearchSpaceSpec::paper().enumerate())),
             csv_text(db));
   EXPECT_EQ(csv_text(store.to_database()), csv_text(db));
 }

@@ -25,9 +25,9 @@ namespace {
 constexpr std::int64_t kSweepInputHw = 24;
 
 TEST(PlanSweepTest, AllLatticeConfigsCompileAndVerifyClean) {
-  const auto all = nas::SearchSpace::enumerate_all();
+  const auto all = nas::SearchSpaceSpec::paper().enumerate();
   ASSERT_EQ(static_cast<std::int64_t>(all.size()),
-            nas::SearchSpace::lattice_size());
+            nas::SearchSpaceSpec::paper().size());
 
   const analysis::PlanVerifier verifier = analysis::PlanVerifier::standard();
   std::set<std::string> seen;
